@@ -5,6 +5,11 @@ pub fn median(v: &[f64]) -> f64 {
     quantile(v, 0.5)
 }
 
+/// Smallest value (0 for an empty slice).
+pub fn min(v: &[f64]) -> f64 {
+    v.iter().copied().reduce(f64::min).unwrap_or(0.0)
+}
+
 /// Arithmetic mean (0 for an empty slice).
 pub fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
@@ -15,6 +20,8 @@ pub fn mean(v: &[f64]) -> f64 {
 }
 
 /// Linear-interpolated quantile `q` in `[0, 1]` (0 for an empty slice).
+/// Infinite samples (failed requests) stay infinite instead of turning
+/// the interpolation into NaN.
 pub fn quantile(v: &[f64], q: f64) -> f64 {
     if v.is_empty() {
         return 0.0;
@@ -24,6 +31,9 @@ pub fn quantile(v: &[f64], q: f64) -> f64 {
     let pos = q.clamp(0.0, 1.0) * (s.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    if s[lo] == s[hi] {
+        return s[lo];
+    }
     s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
 }
 
@@ -83,5 +93,13 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
         assert_eq!(quantile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn quantiles_of_infinite_samples_are_not_nan() {
+        let inf = f64::INFINITY;
+        assert_eq!(quantile(&[1.0, inf, inf, inf], 0.9), inf);
+        assert_eq!(quantile(&[1.0, 2.0, inf], 0.5), 2.0);
+        assert_eq!(quantile(&[1.0, 2.0, inf], 0.75), inf);
     }
 }
