@@ -931,12 +931,14 @@ pub fn run(spec: &ServeSpec, args: &RunArgs, tmp: &Path) -> RunResult {
                 .reduce(f64::min)
         })
         .collect();
-    let best_tail = tail(&best_ms);
-    // Every round's requests together, for accounting and the checks.
+    // Every round's requests together, for accounting, the checks and
+    // the tail: fastest-round latencies leave too few samples for one.
     let mut reference = Phase::default();
     for p in &ref_rounds {
         reference.extend(p.clone());
     }
+    let pooled_ms = reference.field(|s| s.sched_ms);
+    let pooled_tail = tail(&pooled_ms);
 
     // --- Checks and the traced replay, outside every timed window. ----
     let mut attempted = reference.reqs.len() + saturation.reqs.len();
@@ -989,7 +991,7 @@ pub fn run(spec: &ServeSpec, args: &RunArgs, tmp: &Path) -> RunResult {
     let mut detail = json!({
         "workload": spec.name,
         "ungated": {
-            "latency_tail_ms": best_tail.value,
+            "latency_tail_ms": pooled_tail.value,
             "max_fps_at_slo": slo_fps,
         },
         "reference_fps": spec.reference_fps,
@@ -1002,19 +1004,14 @@ pub fn run(spec: &ServeSpec, args: &RunArgs, tmp: &Path) -> RunResult {
         "rounds": rounds,
         "round_latency_p50_ms": round_p50,
         "best_latency_ms": best_ms,
-        "latency_tail_percentile": best_tail.percentile,
-        "latency_tail_samples": best_tail.samples,
+        "latency_tail_percentile": pooled_tail.percentile,
+        "latency_tail_samples": pooled_tail.samples,
         "round_frames_per_s": sat_done
             .iter()
             .map(|d| d.len() as f64 / d.last().copied().unwrap_or(f64::INFINITY))
             .collect::<Vec<_>>(),
-        "reference_latency_ms": reference.field(|s| s.sched_ms),
-        "pooled_latency_ms": {
-            "p50": median(&reference.field(|s| s.sched_ms)),
-            "tail": tail(&reference.field(|s| s.sched_ms)).value,
-            "tail_percentile": tail(&reference.field(|s| s.sched_ms)).percentile,
-            "samples": reference.served().count(),
-        },
+        "pooled_latency_p50_ms": median(&pooled_ms),
+        "reference_latency_ms": pooled_ms,
         "setup_reps_s": setup_s,
         "peak_heap_mb": {"setup": setup_heap_mb, "run": peak_heap_mb},
         "accounting": accounting(&reference, &saturation, &report),
