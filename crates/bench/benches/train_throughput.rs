@@ -30,8 +30,8 @@ use ts_autotune::{BindingScheme, TunerOptions};
 use ts_baselines::System;
 use ts_bench::{bench_scale, paper_check, print_table, write_json};
 use ts_dataflow::ExecCtx;
-use ts_kernelmap::DeltaConfig;
 use ts_gpusim::Device;
+use ts_kernelmap::DeltaConfig;
 use ts_tensor::Precision;
 use ts_train::{StepReport, Trainer, TrainerConfig};
 use ts_workloads::{LidarConfig, LidarStream, Workload};

@@ -1,5 +1,5 @@
 //! TorchSparse++ core: sparse tensors, network graphs, the layer runner
-//! with per-group map caching, and training simulation.
+//! with per-group map caching, and the functional training pass.
 //!
 //! This crate ties the substrates together into the user-facing library:
 //!
@@ -12,7 +12,9 @@
 //!   Autotuner), and prices inference/training on a simulated GPU with
 //!   per-group dataflow configurations;
 //! * [`run_network`] — the functional path computing real features;
-//! * [`train_step`] — functional forward + backward + SGD update.
+//! * [`forward_backward`] — the same forward walk plus dgrad + wgrad
+//!   (the optimizer step lives in `ts-train`), and [`LossScaler`] for
+//!   mixed-precision training.
 //!
 //! # Examples
 //!
@@ -47,7 +49,6 @@ mod session;
 mod sparse_tensor;
 mod stream;
 mod train;
-mod trainer;
 
 pub use engine::Engine;
 pub use network::{ConvSpec, Network, NetworkBuilder, NetworkWeights, Node, Op};
@@ -62,8 +63,7 @@ pub use session::{
 };
 pub use sparse_tensor::SparseTensor;
 pub use stream::{permute_to, StreamState};
+pub use train::{forward_backward, BackwardOutput, LossScaler};
 // Streaming callers configure and inspect updates with the kernel-map
 // vocabulary; re-exported so they need not depend on ts-kernelmap.
-pub use train::{train_step, TrainOutput};
-pub use trainer::{forward_backward, BackwardOutput, LossScaler, Trainer};
 pub use ts_kernelmap::{DeltaConfig, MapUpdate, UpdateOutcome};

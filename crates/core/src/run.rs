@@ -1,10 +1,6 @@
 //! Functional network execution: real features through every layer.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use ts_dataflow::{forward_prepared, prepare, ExecCtx};
-use ts_kernelmap::Coord;
 use ts_tensor::{batch_norm, relu, Matrix};
 
 use crate::{GroupConfigs, Network, NetworkWeights, Op, RunReport, Session, SparseTensor};
@@ -80,72 +76,72 @@ pub fn run_network_in_session(
         );
     }
 
-    // Functional feature walk.
-    let fctx = ExecCtx {
-        functional: true,
-        ..ctx.clone()
-    };
-    let mut feats: Vec<Option<Matrix>> = vec![None; network.nodes().len()];
-    let mut coords: Vec<Option<Arc<Vec<Coord>>>> = vec![None; network.nodes().len()];
-    let mut stride_coords: HashMap<i32, Arc<Vec<Coord>>> = HashMap::new();
-    let input_coords = Arc::new(input.coords().to_vec());
-    feats[0] = Some(input.feats().clone());
-    coords[0] = Some(Arc::clone(&input_coords));
-    stride_coords.insert(1, input_coords);
+    let out_node = network.output();
+    let mut feats = forward_features(session, weights, input.feats(), cfgs, ctx);
+    let out_feats = feats[out_node].take().expect("output computed");
+    let out = SparseTensor::with_stride(
+        session.output_coords().to_vec(),
+        out_feats,
+        network.stride(out_node),
+    );
+    (out, report)
+}
 
+/// The functional forward walk shared by inference
+/// ([`run_network_in_session`]) and training
+/// ([`crate::forward_backward`]): every node's features in node order
+/// under the functional context `fctx`, with each conv layer running
+/// the dataflow `cfgs` picks for its group. Under
+/// `fctx.quantize_storage`, conv outputs are rounded to the storage
+/// precision as they are stored.
+pub(crate) fn forward_features(
+    session: &Session,
+    weights: &NetworkWeights,
+    input: &Matrix,
+    cfgs: &GroupConfigs,
+    fctx: &ExecCtx,
+) -> Vec<Option<Matrix>> {
+    let network = session.network();
+    let mut feats: Vec<Option<Matrix>> = vec![None; network.nodes().len()];
+    feats[0] = Some(input.clone());
     for (i, node) in network.nodes().iter().enumerate().skip(1) {
         let x = feats[node.input]
             .as_ref()
             .expect("producer already executed")
             .clone();
-        let in_coords = Arc::clone(coords[node.input].as_ref().expect("coords known"));
-        match node.op {
+        let y = match node.op {
             Op::Input => unreachable!(),
-            Op::Conv(spec) => {
+            Op::Conv(_) => {
                 let (map, group, _) = session
                     .map_for_node(i)
                     .expect("conv node has a compiled map");
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
-                let prepared = prepare(&map, &cfg, &fctx);
-                let out = forward_prepared(&x, w, &map, &prepared, &cfg, &fctx);
+                let prepared = prepare(&map, &cfg, fctx);
+                let out = forward_prepared(&x, w, &map, &prepared, &cfg, fctx);
                 let mut y = out.features.expect("functional context computes features");
                 if fctx.quantize_storage {
                     fctx.precision.quantize_slice(y.as_mut_slice());
                 }
-                feats[i] = Some(y);
-                let out_coords: Arc<Vec<Coord>> = if spec.transposed {
-                    Arc::clone(
-                        stride_coords
-                            .get(&network.stride(i))
-                            .expect("transposed conv target coords cached"),
-                    )
-                } else if spec.stride > 1 {
-                    Arc::new(ts_kernelmap::downsample_coords(&in_coords, spec.stride))
-                } else {
-                    in_coords
-                };
-                stride_coords.insert(network.stride(i), Arc::clone(&out_coords));
-                coords[i] = Some(out_coords);
+                y
             }
             Op::BatchNorm => {
                 let mut y = x;
-                let params = weights.bns[i].as_ref().expect("bn params initialised");
-                batch_norm(&mut y, params);
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                batch_norm(
+                    &mut y,
+                    weights.bns[i].as_ref().expect("bn params initialised"),
+                );
+                y
             }
             Op::ReLU => {
                 let mut y = x;
                 relu(&mut y);
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
             Op::Add { other } => {
                 let mut y = x;
                 y.add_assign(feats[other].as_ref().expect("operand executed"));
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
             Op::Concat { other } => {
                 let o = feats[other].as_ref().expect("operand executed");
@@ -156,21 +152,12 @@ pub fn run_network_in_session(
                     row[..x.cols()].copy_from_slice(x.row(r));
                     row[x.cols()..].copy_from_slice(o.row(r));
                 }
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
-        }
+        };
+        feats[i] = Some(y);
     }
-
-    let out_node = network.output();
-    let out_feats = feats[out_node].take().expect("output computed");
-    let out_coords = coords[out_node].take().expect("output coords known");
-    let out = SparseTensor::with_stride(
-        out_coords.as_ref().clone(),
-        out_feats,
-        network.stride(out_node),
-    );
-    (out, report)
+    feats
 }
 
 #[cfg(test)]
@@ -179,6 +166,7 @@ mod tests {
     use crate::NetworkBuilder;
     use ts_dataflow::DataflowConfig;
     use ts_gpusim::Device;
+    use ts_kernelmap::Coord;
     use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
 
     fn coords(n: i32) -> Vec<Coord> {

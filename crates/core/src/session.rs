@@ -279,6 +279,8 @@ pub struct Session {
     layers: Vec<LayerPlan>,
     group_used_forward: Vec<bool>,
     group_used_transposed: Vec<bool>,
+    /// Coordinates of the network's output node, in feature-row order.
+    output_coords: Arc<Vec<Coord>>,
     prepare_cache: RwLock<PrepareCache>,
     prepare_hits: AtomicU64,
     prepare_misses: AtomicU64,
@@ -292,6 +294,7 @@ impl Clone for Session {
             layers: self.layers.clone(),
             group_used_forward: self.group_used_forward.clone(),
             group_used_transposed: self.group_used_transposed.clone(),
+            output_coords: Arc::clone(&self.output_coords),
             prepare_cache: RwLock::new(self.prepare_cache.read().clone()),
             prepare_hits: AtomicU64::new(self.prepare_hits.load(Ordering::Relaxed)),
             prepare_misses: AtomicU64::new(self.prepare_misses.load(Ordering::Relaxed)),
@@ -471,12 +474,16 @@ impl Session {
             }
         }
 
+        let output_coords = coords_at
+            .remove(&network.output())
+            .expect("every node's coords are known");
         Ok(Session {
             network: network.clone(),
             groups,
             layers,
             group_used_forward,
             group_used_transposed,
+            output_coords,
             prepare_cache: RwLock::new(HashMap::new()),
             prepare_hits: AtomicU64::new(0),
             prepare_misses: AtomicU64::new(0),
@@ -554,6 +561,12 @@ impl Session {
             .iter()
             .filter(|l| matches!(l, LayerPlan::Conv(_)))
             .count()
+    }
+
+    /// Coordinates of the output node, in the row order the functional
+    /// walk produces its features.
+    pub(crate) fn output_coords(&self) -> &[Coord] {
+        &self.output_coords
     }
 
     /// The kernel map a conv node consumes (in its own orientation) and
@@ -1281,6 +1294,21 @@ mod tests {
             inf.total_us()
         );
         assert!(tr.compute_us() >= inf.compute_us() * 2.0);
+    }
+
+    #[test]
+    fn train_report_includes_backward_kernels() {
+        let s = Session::new(&unet(), &grid_coords(5));
+        let report = s.simulate_training(
+            &TrainConfigs::bound(DataflowConfig::implicit_gemm(1)),
+            &ctx(),
+        );
+        let has_wgrad = report
+            .trace()
+            .entries()
+            .iter()
+            .any(|e| e.desc.name.contains("wgrad"));
+        assert!(has_wgrad, "training trace must include wgrad kernels");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use ts_dataflow::DataflowKind;
+use ts_dataflow::{DataflowConfig, DataflowKind};
 use ts_kernelmap::{
     Coord, CoordHashMap, DeltaConfig, IncrementalMap, KernelOffsets, MapStats, MapUpdate,
     UpdateOutcome,
@@ -21,15 +21,16 @@ use ts_tensor::Matrix;
 
 use crate::run::run_network_in_session;
 use crate::session::SubmanifoldReuse;
-use crate::{CompileError, Engine, Op, RunReport, Session, SparseTensor};
+use crate::{CompileError, Engine, Network, Op, RunReport, Session, SparseTensor};
 
 /// Per-stream temporal state: the incrementally maintained stride-1
 /// submanifold map plus reuse accounting.
 ///
-/// Created by the first [`Engine::infer_stream`] call on a stream and
-/// threaded (by the caller) through every subsequent frame. Dropping it
-/// — or passing `None` again — costs nothing but a full rebuild on the
-/// next frame, which is exactly how caches are invalidated.
+/// Seeded by the first [`Engine::infer_stream`] call on a stream (or
+/// the first step of a `ts-train` trainer) and threaded (by the caller)
+/// through every subsequent frame. Dropping it — or passing `None`
+/// again — costs nothing but a full rebuild on the next frame, which is
+/// exactly how caches are invalidated.
 #[derive(Debug, Clone)]
 pub struct StreamState {
     inc: IncrementalMap,
@@ -39,13 +40,104 @@ pub struct StreamState {
 }
 
 impl StreamState {
-    fn new(coords: &[Coord], kernel_size: u32, split_count: u32) -> Self {
-        Self {
+    /// Kernel size of `network`'s stride-1 submanifold group, if it has
+    /// one eligible for incremental maintenance (odd kernel, larger than
+    /// 1x1x1, consuming the input-resolution coordinates).
+    pub fn eligible_kernel_size(network: &Network) -> Option<u32> {
+        network.nodes().iter().find_map(|node| match node.op {
+            Op::Conv(s)
+                if s.stride == 1
+                    && !s.transposed
+                    && s.kernel_size % 2 == 1
+                    && s.kernel_size > 1
+                    && network.stride(node.input) == 1 =>
+            {
+                Some(s.kernel_size)
+            }
+            _ => None,
+        })
+    }
+
+    /// The split count the state's [`ts_kernelmap::SplitPlan`] should
+    /// track: that of `default`, the schedule's default dataflow, when
+    /// it is implicit GEMM.
+    pub fn split_count_for(default: &DataflowConfig) -> u32 {
+        match default.kind {
+            DataflowKind::ImplicitGemm { splits } => splits.max(1),
+            _ => 1,
+        }
+    }
+
+    /// Seeds a state at `coords`, a frame compiled from scratch into
+    /// `session`. The seeding frame counts as a rebuild; the returned
+    /// outcome prices the full build of the maintained group.
+    pub fn seed(
+        session: &Session,
+        coords: &[Coord],
+        kernel_size: u32,
+        split_count: u32,
+    ) -> (Self, UpdateOutcome) {
+        let stats = session
+            .groups()
+            .iter()
+            .find(|g| {
+                g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == kernel_size
+            })
+            .map(|g| g.build_stats)
+            .unwrap_or_default();
+        let state = Self {
             inc: IncrementalMap::new(coords, KernelOffsets::cube(kernel_size), split_count),
             frames: 1,
             patched: 0,
             rebuilt: 1,
+        };
+        (state, UpdateOutcome::full_build(coords.len(), stats))
+    }
+
+    /// Advances the maintained map to the next frame's coordinates — an
+    /// in-place patch, or a rebuild when churn exceeds
+    /// `cfg.churn_threshold` — and counts the frame.
+    pub fn update(&mut self, coords: &[Coord], cfg: &DeltaConfig) -> UpdateOutcome {
+        let outcome = self.inc.update(coords, cfg);
+        self.frames += 1;
+        match outcome.kind {
+            MapUpdate::Patched => self.patched += 1,
+            MapUpdate::Rebuilt => self.rebuilt += 1,
         }
+        outcome
+    }
+
+    /// Compiles `network` around the maintained map, pricing its
+    /// construction at `stats` (the last update's hash work). The
+    /// frame's features must follow [`StreamState::coords`] order
+    /// ([`permute_to`]).
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`Session::try_new_with_reuse`].
+    pub fn compile(&self, network: &Network, stats: MapStats) -> Result<Session, CompileError> {
+        // The state's plan is re-derived after every patch; in debug
+        // builds re-check both structures before trusting them for
+        // compilation.
+        #[cfg(debug_assertions)]
+        {
+            let violations = ts_kernelmap::check_map(self.inc.map());
+            debug_assert!(
+                violations.is_empty(),
+                "incremental map violates invariants: {violations:?}"
+            );
+            let plan_violations = ts_kernelmap::check_plan(self.inc.map(), self.inc.plan(), 128);
+            debug_assert!(
+                plan_violations.is_empty(),
+                "incremental split plan violates invariants: {plan_violations:?}"
+            );
+        }
+        let reuse = SubmanifoldReuse {
+            kernel_size: self.kernel_size(),
+            map: Arc::new(self.inc.map().clone()),
+            stats,
+        };
+        Session::try_new_with_reuse(network, self.coords(), Some(&reuse))
     }
 
     /// The current frame's coordinates in the state's canonical order
@@ -116,39 +208,6 @@ pub fn permute_to(input: &SparseTensor, coords: &[Coord]) -> SparseTensor {
 }
 
 impl Engine {
-    /// Kernel size of the network's stride-1 submanifold group, if it
-    /// has one eligible for incremental maintenance (odd kernel, larger
-    /// than 1x1x1, consuming the input-resolution coordinates).
-    fn stream_kernel_size(&self) -> Option<u32> {
-        let net = self.network();
-        net.nodes()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .find_map(|(_, node)| match node.op {
-                Op::Conv(s)
-                    if s.stride == 1
-                        && !s.transposed
-                        && s.kernel_size % 2 == 1
-                        && s.kernel_size > 1
-                        && net.stride(node.input) == 1 =>
-                {
-                    Some(s.kernel_size)
-                }
-                _ => None,
-            })
-    }
-
-    /// The split count the stream state's [`ts_kernelmap::SplitPlan`]
-    /// should track (the schedule's default dataflow, when it is
-    /// implicit GEMM).
-    fn stream_split_count(&self) -> u32 {
-        match self.configs().default.kind {
-            DataflowKind::ImplicitGemm { splits } => splits.max(1),
-            _ => 1,
-        }
-    }
-
     /// [`Engine::try_infer`] for temporally coherent streams: maintains
     /// the stride-1 submanifold kernel map incrementally across frames
     /// instead of rebuilding it per frame.
@@ -190,13 +249,13 @@ impl Engine {
             });
         }
 
-        let Some(ks) = self.stream_kernel_size() else {
+        let Some(ks) = StreamState::eligible_kernel_size(self.network()) else {
             // No eligible group: plain per-frame compilation.
             let (out, report) = self.try_infer(input)?;
             return Ok((
                 out,
                 report,
-                full_outcome(input.num_points(), MapStats::default()),
+                UpdateOutcome::full_build(input.num_points(), MapStats::default()),
             ));
         };
 
@@ -212,14 +271,6 @@ impl Engine {
                 // and the state is built from the same canonical order
                 // (`unique_coords` of the frame).
                 let session = self.compile(input)?;
-                let stats = session
-                    .groups()
-                    .iter()
-                    .find(|g| {
-                        g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == ks
-                    })
-                    .map(|g| g.build_stats)
-                    .unwrap_or_default();
                 let (out, report) = run_network_in_session(
                     &session,
                     self.weights(),
@@ -227,22 +278,16 @@ impl Engine {
                     self.configs(),
                     self.ctx(),
                 );
-                *state = Some(StreamState::new(
-                    input.coords(),
-                    ks,
-                    self.stream_split_count(),
-                ));
-                (out, report, full_outcome(input.num_points(), stats))
+                let split_count = StreamState::split_count_for(&self.configs().default);
+                let (seeded, outcome) =
+                    StreamState::seed(&session, input.coords(), ks, split_count);
+                *state = Some(seeded);
+                (out, report, outcome)
             }
             Some(st) => {
                 let mut update_span =
                     ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
-                let outcome = st.inc.update(input.coords(), cfg);
-                st.frames += 1;
-                match outcome.kind {
-                    MapUpdate::Patched => st.patched += 1,
-                    MapUpdate::Rebuilt => st.rebuilt += 1,
-                }
+                let outcome = st.update(input.coords(), cfg);
                 if update_span.active() {
                     update_span.arg(
                         "kind",
@@ -257,32 +302,8 @@ impl Engine {
                 }
                 drop(update_span);
 
-                // The state's plan is re-derived after every patch; in
-                // debug builds re-check both structures before trusting
-                // them for compilation.
-                #[cfg(debug_assertions)]
-                {
-                    let violations = ts_kernelmap::check_map(st.inc.map());
-                    debug_assert!(
-                        violations.is_empty(),
-                        "incremental map violates invariants: {violations:?}"
-                    );
-                    let plan_violations =
-                        ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
-                    debug_assert!(
-                        plan_violations.is_empty(),
-                        "incremental split plan violates invariants: {plan_violations:?}"
-                    );
-                }
-
-                let reuse = SubmanifoldReuse {
-                    kernel_size: ks,
-                    map: Arc::new(st.inc.map().clone()),
-                    stats: outcome.stats,
-                };
                 let permuted = permute_to(input, st.coords());
-                let session =
-                    Session::try_new_with_reuse(self.network(), st.coords(), Some(&reuse))?;
+                let session = st.compile(self.network(), outcome.stats)?;
                 let (out, report) = run_network_in_session(
                     &session,
                     self.weights(),
@@ -307,18 +328,6 @@ impl Engine {
             span.arg("sim_us", report.total_us());
         }
         Ok((out, report, outcome))
-    }
-}
-
-/// Outcome of a frame serviced without a prior state (or without an
-/// eligible group): everything entered, full-build stats.
-fn full_outcome(points: usize, stats: MapStats) -> UpdateOutcome {
-    UpdateOutcome {
-        kind: MapUpdate::Rebuilt,
-        stats,
-        entered: points,
-        exited: 0,
-        churn: 1.0,
     }
 }
 

@@ -1,137 +1,179 @@
-//! Functional training: forward, backward (dgrad + wgrad) and an SGD
-//! update, with the simulated training latency report.
+//! Functional training: the fused forward + backward pass (dgrad +
+//! wgrad) over a compiled session, and dynamic loss scaling for
+//! mixed-precision steps. The optimizer lives with the step pipeline in
+//! `ts-train`.
 
-use ts_dataflow::{dgrad, forward_prepared, prepare, wgrad, ExecCtx};
+use ts_dataflow::{dgrad, wgrad, ConvWeights, ExecCtx};
 use ts_tensor::{relu_backward, Matrix};
 
-use crate::{Network, NetworkWeights, Op, RunReport, Session, SparseTensor, TrainConfigs};
+use crate::run::forward_features;
+use crate::{Network, NetworkWeights, Op, Session, SparseTensor, TrainConfigs};
 
-/// Result of one functional training step.
-#[derive(Debug, Clone)]
-pub struct TrainOutput {
-    /// The scalar loss `0.5 * ||output||^2` before the update.
-    pub loss: f32,
-    /// Simulated training-iteration latency.
-    pub report: RunReport,
-    /// L2 norm of all weight gradients (diagnostic).
-    pub grad_norm: f32,
+/// Dynamic loss scaling for mixed-precision training: gradients flow in
+/// FP16 (the paper's training setup), so small gradients underflow
+/// unless the loss is scaled up; overflowing steps are skipped and the
+/// scale halved, and the scale doubles after a streak of good steps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LossScaler {
+    /// Current loss scale.
+    pub scale: f32,
+    /// Consecutive overflow-free steps.
+    pub good_steps: u32,
+    /// Steps skipped due to gradient overflow.
+    pub skipped: u32,
+    /// Good-step streak length that doubles the scale.
+    pub growth_interval: u32,
 }
 
-/// Runs one training step: forward pass, backward pass through every
-/// layer (input gradients via dgrad, weight gradients via wgrad), and an
-/// in-place SGD update with learning rate `lr`.
+impl LossScaler {
+    /// The conventional starting configuration (scale 2^16).
+    pub fn new() -> Self {
+        Self {
+            scale: 65536.0,
+            good_steps: 0,
+            skipped: 0,
+            growth_interval: 200,
+        }
+    }
+}
+
+impl Default for LossScaler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LossScaler {
+    /// Advances the scaler after a step: overflow halves the scale
+    /// (floored at 1) and resets the good-step streak; a clean step
+    /// extends the streak and doubles the scale (capped at 2^24) every
+    /// `growth_interval` good steps. Returns `true` when the step's
+    /// updates should be applied.
+    pub fn update(&mut self, overflow: bool) -> bool {
+        if overflow {
+            self.scale = (self.scale / 2.0).max(1.0);
+            self.good_steps = 0;
+            self.skipped += 1;
+            false
+        } else {
+            self.good_steps += 1;
+            if self.good_steps.is_multiple_of(self.growth_interval) {
+                self.scale = (self.scale * 2.0).min(16_777_216.0);
+            }
+            true
+        }
+    }
+}
+
+/// Result of one fused forward + backward pass over a compiled session
+/// (no optimizer update applied).
+#[derive(Debug, Clone)]
+pub struct BackwardOutput {
+    /// Loss before any update (`0.5 * ||output||^2`).
+    pub loss: f32,
+    /// Per-node weight gradients (`Some` exactly at conv nodes that
+    /// received gradient), already un-scaled back from `loss_scale`.
+    pub grads: Vec<Option<ConvWeights>>,
+    /// Gradient w.r.t. the input features. Still carries the loss
+    /// scale (and FP16 rounding) when AMP is active.
+    pub input_grad: Option<Matrix>,
+    /// Whether any weight gradient overflowed the FP16 range after
+    /// scaling — the step must be skipped and the scale backed off.
+    pub overflow: bool,
+}
+
+/// Runs one fused forward + loss + dgrad + wgrad pass over `session`
+/// with explicit weights: the engine under the `ts-train` step pipeline
+/// and the ts-verify training conformance harness.
 ///
-/// The loss is `0.5 * ||output features||^2`, which makes the output
-/// gradient equal to the output itself — convenient for gradient
-/// checking. Batch-norm parameters are treated as frozen (folded
-/// inference form), matching how the paper times training kernels
-/// (sparse conv kernels dominate; see Figure 15).
+/// Forward is the inference walk (storage quantization included), with
+/// every activation kept; the loss is `0.5 * ||output||^2`;
+/// the backward sweep walks nodes in reverse, routing dgrad through the
+/// transposed maps and wgrad through the forward maps with the per-pass
+/// dataflow configs in `cfgs`. With `fp16_grads`, every stored gradient
+/// is rounded to the FP16 grid, the seed gradient is multiplied by
+/// `loss_scale`, and weight gradients are overflow-checked *before*
+/// being un-scaled — exactly the deferred-update AMP protocol.
 ///
 /// # Panics
 ///
-/// Panics if weights are missing or shapes disagree.
-pub fn train_step(
+/// Panics if `session` was not compiled for `network` over `input`'s
+/// coordinates, or if `weights` is missing a conv slot.
+#[allow(clippy::too_many_arguments)]
+pub fn forward_backward(
     network: &Network,
-    weights: &mut NetworkWeights,
+    weights: &NetworkWeights,
+    session: &Session,
     input: &SparseTensor,
     cfgs: &TrainConfigs,
     ctx: &ExecCtx,
-    lr: f32,
-) -> TrainOutput {
-    let session = Session::new(network, input.coords());
-    let report = session.simulate_training(cfgs, ctx);
+    loss_scale: f32,
+    fp16_grads: bool,
+) -> BackwardOutput {
     let fctx = ExecCtx {
         functional: true,
         ..ctx.clone()
     };
-
-    // ---- forward, storing every node's features ----
     let n_nodes = network.nodes().len();
-    let mut feats: Vec<Option<Matrix>> = vec![None; n_nodes];
-    feats[0] = Some(input.feats().clone());
-    for (i, node) in network.nodes().iter().enumerate().skip(1) {
-        let x = feats[node.input]
-            .as_ref()
-            .expect("producer executed")
-            .clone();
-        feats[i] = Some(match node.op {
-            Op::Input => unreachable!(),
-            Op::Conv(_) => {
-                let (map, _, group) = session.conv_maps(i).expect("conv map compiled");
-                let w = weights.convs[i].as_ref().expect("weights initialised");
-                let cfg = cfgs.fwd.for_group(group);
-                let prepared = prepare(&map, &cfg, &fctx);
-                forward_prepared(&x, w, &map, &prepared, &cfg, &fctx)
-                    .features
-                    .expect("functional forward")
-            }
-            Op::BatchNorm => {
-                let mut y = x;
-                ts_tensor::batch_norm(&mut y, weights.bns[i].as_ref().expect("bn params"));
-                y
-            }
-            Op::ReLU => {
-                let mut y = x;
-                ts_tensor::relu(&mut y);
-                y
-            }
-            Op::Add { other } => {
-                let mut y = x;
-                y.add_assign(feats[other].as_ref().expect("operand executed"));
-                y
-            }
-            Op::Concat { other } => {
-                let o = feats[other].as_ref().expect("operand executed");
-                let mut y = Matrix::zeros(x.rows(), x.cols() + o.cols());
-                for r in 0..x.rows() {
-                    y.row_mut(r)[..x.cols()].copy_from_slice(x.row(r));
-                    y.row_mut(r)[x.cols()..].copy_from_slice(o.row(r));
-                }
-                y
-            }
-        });
-    }
 
-    // ---- loss and output gradient ----
-    let out = feats[network.output()].as_ref().expect("output computed");
+    let feats = forward_features(session, weights, input.feats(), &cfgs.fwd, &fctx);
+    let out = feats[network.output()].as_ref().expect("output");
     let loss = 0.5 * out.as_slice().iter().map(|v| v * v).sum::<f32>();
 
-    // ---- backward ----
+    // Backward. Under AMP the output gradient is scaled up, every
+    // stored gradient is rounded to the FP16 grid, and updates are
+    // deferred until the overflow check passes.
+    let quantize = |m: &mut Matrix| {
+        if fp16_grads {
+            ts_tensor::Precision::Fp16.quantize_slice(m.as_mut_slice());
+        }
+    };
     let mut grads: Vec<Option<Matrix>> = vec![None; n_nodes];
-    grads[network.output()] = Some(out.clone());
-    let mut grad_norm_sq = 0.0f64;
-
+    let mut seed = out.clone();
+    if loss_scale != 1.0 {
+        seed.scale(loss_scale);
+    }
+    quantize(&mut seed);
+    grads[network.output()] = Some(seed);
+    let mut overflow = false;
+    let mut conv_grads: Vec<Option<ConvWeights>> = vec![None; n_nodes];
     for (i, node) in network.nodes().iter().enumerate().skip(1).rev() {
         let Some(g) = grads[i].take() else { continue };
         match node.op {
             Op::Input => unreachable!(),
             Op::Conv(_) => {
                 let (map, grad_map, group) = session.conv_maps(i).expect("conv map");
-                let w = weights.convs[i].as_ref().expect("weights").clone();
+                let w = weights.convs[i].as_ref().expect("weights");
                 let d_cfg = cfgs.dgrad.for_group(group);
                 let w_cfg = cfgs.wgrad.for_group(group);
-                // Input gradient.
-                let dx = dgrad(&g, &w, &grad_map, &d_cfg, &fctx)
+                let mut dx = dgrad(&g, w, &grad_map, &d_cfg, &fctx)
                     .features
-                    .expect("functional dgrad");
+                    .expect("functional");
+                quantize(&mut dx);
                 accumulate(&mut grads, node.input, dx);
-                // Weight gradient + SGD update.
-                let x_in = feats[node.input].as_ref().expect("activation stored");
-                let dw = wgrad(x_in, &g, &map, &w_cfg, &fctx)
-                    .dw
-                    .expect("functional wgrad");
+                let x_in = feats[node.input].as_ref().expect("activation");
+                let mut dw = wgrad(x_in, &g, &map, &w_cfg, &fctx).dw.expect("functional");
                 for k in 0..dw.kernel_volume() {
-                    grad_norm_sq += dw
+                    quantize(dw.offset_mut(k));
+                    // FP16 saturation (|v| at the max finite half) or
+                    // non-finite values mark the step as overflowed.
+                    if dw
                         .offset(k)
                         .as_slice()
                         .iter()
-                        .map(|v| (*v as f64) * (*v as f64))
-                        .sum::<f64>();
+                        .any(|v| !v.is_finite() || v.abs() >= 65504.0)
+                    {
+                        overflow = true;
+                    }
+                    // Un-scale back to true gradient magnitude.
+                    if loss_scale != 1.0 {
+                        dw.offset_mut(k).scale(1.0 / loss_scale);
+                    }
                 }
-                weights.convs[i].as_mut().expect("weights").axpy(-lr, &dw);
+                conv_grads[i] = Some(dw);
             }
             Op::BatchNorm => {
-                let params = weights.bns[i].as_ref().expect("bn params");
+                let params = weights.bns[i].as_ref().expect("bn");
                 let mut dx = g;
                 for r in 0..dx.rows() {
                     for (c, v) in dx.row_mut(r).iter_mut().enumerate() {
@@ -151,9 +193,8 @@ pub fn train_step(
             }
             Op::Concat { other } => {
                 let c_in = network.out_channels(node.input);
-                let c_other = network.out_channels(other);
                 let mut g_in = Matrix::zeros(g.rows(), c_in);
-                let mut g_other = Matrix::zeros(g.rows(), c_other);
+                let mut g_other = Matrix::zeros(g.rows(), g.cols() - c_in);
                 for r in 0..g.rows() {
                     g_in.row_mut(r).copy_from_slice(&g.row(r)[..c_in]);
                     g_other.row_mut(r).copy_from_slice(&g.row(r)[c_in..]);
@@ -164,10 +205,11 @@ pub fn train_step(
         }
     }
 
-    TrainOutput {
+    BackwardOutput {
         loss,
-        report,
-        grad_norm: (grad_norm_sq as f32).sqrt(),
+        grads: conv_grads,
+        input_grad: grads[0].take(),
+        overflow,
     }
 }
 
@@ -181,7 +223,7 @@ fn accumulate(grads: &mut [Option<Matrix>], node: usize, g: Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetworkBuilder;
+    use crate::{run_network_in_session, GroupConfigs, NetworkBuilder};
     use ts_dataflow::DataflowConfig;
     use ts_gpusim::Device;
     use ts_kernelmap::Coord;
@@ -206,71 +248,81 @@ mod tests {
     }
 
     #[test]
-    fn training_reduces_the_loss() {
+    fn training_forward_is_the_inference_walk() {
         let net = small_net();
-        let mut w = net.init_weights(1);
+        let w = net.init_weights(1);
         let x = input(6, 4, 2);
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-        let first = train_step(&net, &mut w, &x, &cfgs, &ctx, 1e-3);
-        let mut last = first.loss;
-        for _ in 0..5 {
-            let step = train_step(&net, &mut w, &x, &cfgs, &ctx, 1e-3);
-            last = step.loss;
+        let session = Session::new(&net, x.coords());
+        let cfg = DataflowConfig::implicit_gemm(1);
+        let mut losses = Vec::new();
+        for quantize in [false, true] {
+            let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16)
+                .with_storage_quantization(quantize);
+            let (y, _) =
+                run_network_in_session(&session, &w, &x, &GroupConfigs::uniform(cfg), &ctx);
+            let expected = 0.5 * y.feats().as_slice().iter().map(|v| v * v).sum::<f32>();
+            let bw = forward_backward(
+                &net,
+                &w,
+                &session,
+                &x,
+                &TrainConfigs::bound(cfg),
+                &ctx,
+                1.0,
+                false,
+            );
+            assert_eq!(bw.loss.to_bits(), expected.to_bits(), "quantize={quantize}");
+            losses.push(bw.loss);
         }
-        assert!(last < first.loss, "loss {} -> {last}", first.loss);
-        assert!(first.grad_norm > 0.0);
+        assert_ne!(losses[0], losses[1], "storage quantization moves the loss");
     }
 
     #[test]
     fn gradients_are_dataflow_invariant() {
         let net = small_net();
+        let w = net.init_weights(9);
         let x = input(5, 4, 3);
+        let session = Session::new(&net, x.coords());
         let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
         let run = |cfg: DataflowConfig| {
-            let mut w = net.init_weights(9);
-            let out = train_step(&net, &mut w, &x, &TrainConfigs::bound(cfg), &ctx, 1e-3);
-            (out.loss, out.grad_norm, w)
+            forward_backward(
+                &net,
+                &w,
+                &session,
+                &x,
+                &TrainConfigs::bound(cfg),
+                &ctx,
+                1.0,
+                false,
+            )
         };
-        let (l0, g0, w0) = run(DataflowConfig::implicit_gemm(0));
+        let base = run(DataflowConfig::implicit_gemm(0));
         for cfg in [
             DataflowConfig::gather_scatter(true),
             DataflowConfig::fetch_on_demand(true),
             DataflowConfig::implicit_gemm(2),
         ] {
-            let (l, g, w) = run(cfg);
+            let bw = run(cfg);
             assert!(
-                (l - l0).abs() / l0.max(1e-6) < 1e-3,
+                (bw.loss - base.loss).abs() / base.loss.max(1e-6) < 1e-3,
                 "loss differs for {cfg}"
             );
-            assert!(
-                (g - g0).abs() / g0.max(1e-6) < 1e-2,
-                "grad norm differs for {cfg}"
-            );
-            for (a, b) in w.convs.iter().zip(w0.convs.iter()) {
+            assert!(bw
+                .input_grad
+                .as_ref()
+                .unwrap()
+                .approx_eq(base.input_grad.as_ref().unwrap(), 1e-3));
+            for (a, b) in bw.grads.iter().zip(&base.grads) {
+                assert_eq!(a.is_some(), b.is_some());
                 if let (Some(a), Some(b)) = (a, b) {
                     for k in 0..a.kernel_volume() {
-                        assert!(a.offset(k).approx_eq(b.offset(k), 1e-3));
+                        assert!(
+                            a.offset(k).approx_eq(b.offset(k), 1e-3),
+                            "dw differs for {cfg}"
+                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn train_report_includes_backward_kernels() {
-        let net = small_net();
-        let mut w = net.init_weights(1);
-        let x = input(5, 4, 4);
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16);
-        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-        let out = train_step(&net, &mut w, &x, &cfgs, &ctx, 1e-3);
-        let has_wgrad = out
-            .report
-            .trace()
-            .entries()
-            .iter()
-            .any(|e| e.desc.name.contains("wgrad"));
-        assert!(has_wgrad, "training trace must include wgrad kernels");
     }
 }

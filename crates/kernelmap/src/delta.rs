@@ -72,6 +72,20 @@ pub struct UpdateOutcome {
     pub churn: f32,
 }
 
+impl UpdateOutcome {
+    /// Outcome of a frame built from scratch, without a prior state:
+    /// all of its `points` entered, priced at the full build's `stats`.
+    pub fn full_build(points: usize, stats: MapStats) -> Self {
+        Self {
+            kind: MapUpdate::Rebuilt,
+            stats,
+            entered: points,
+            exited: 0,
+            churn: 1.0,
+        }
+    }
+}
+
 /// A submanifold kernel map maintained incrementally across frames.
 ///
 /// Owns the coordinate list (in canonical order), the coordinate hash

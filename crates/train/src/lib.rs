@@ -60,5 +60,5 @@
 mod plan;
 mod trainer;
 
-pub use plan::{PlanState, StepSim};
+pub use plan::StepSim;
 pub use trainer::{weights_digest, StepReport, TrainError, TrainRun, Trainer, TrainerConfig};

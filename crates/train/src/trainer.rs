@@ -19,7 +19,8 @@ use serde::{Deserialize, Serialize};
 use ts_autotune::{default_scheme_for, BindingScheme, TunerOptions};
 use ts_cache::{tune_training_cached, DriftPolicy, TrainScheduleCache, TuneOrigin};
 use ts_core::{
-    forward_backward, CompileError, LossScaler, Network, NetworkWeights, SparseTensor, TrainConfigs,
+    forward_backward, CompileError, LossScaler, Network, NetworkWeights, SparseTensor, StreamState,
+    TrainConfigs,
 };
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_kernelmap::{Coord, DeltaConfig, MapUpdate};
@@ -28,7 +29,7 @@ use ts_tensor::Matrix;
 use ts_trace::Subsystem;
 use ts_workloads::{LidarScene, LidarStream};
 
-use crate::plan::{compile_step, optimizer_us, split_count_for, PlanState, StepSim};
+use crate::plan::{compile_step, optimizer_us, StepSim};
 
 /// A step failed: either the scene would not compile, or the
 /// training-schedule cache's write-back hit an I/O error.
@@ -183,7 +184,7 @@ pub struct Trainer {
     scheme: BindingScheme,
     ctx: ExecCtx,
     cache: TrainScheduleCache,
-    state: Option<PlanState>,
+    state: Option<StreamState>,
     split_count: u32,
     param_bytes: u64,
     steps: u64,
@@ -226,7 +227,7 @@ impl Trainer {
         let scheme = cfg
             .scheme
             .unwrap_or_else(|| default_scheme_for(ctx.device()));
-        let split_count = split_count_for(&cfg.tuner.default);
+        let split_count = StreamState::split_count_for(&cfg.tuner.default);
         let amp = cfg.amp.then(LossScaler::new);
         Self {
             network: network.clone(),
@@ -288,7 +289,7 @@ impl Trainer {
     }
 
     /// The incremental-map reuse state (after the first step).
-    pub fn plan_state(&self) -> Option<&PlanState> {
+    pub fn plan_state(&self) -> Option<&StreamState> {
         self.state.as_ref()
     }
 
@@ -631,6 +632,87 @@ mod tests {
             last < first,
             "SGD on 0.5||out||^2 must shrink it: {first} -> {last}"
         );
+    }
+
+    #[test]
+    fn overflowing_gradients_halve_the_scale_and_skip_updates() {
+        let ctx = ctx();
+        let mut t = Trainer::new(&net(), 7, &ctx, TrainerConfig::default());
+        // Force an overflow: a loss scale far beyond the FP16 range.
+        t.amp.as_mut().expect("AMP is the default").scale = 3.0e38;
+        let before = weights_digest(t.weights());
+        let r = t.step(&scene(19, 2)).unwrap();
+        assert!(!r.applied, "an overflowing step must be skipped");
+        assert_eq!(r.loss_scale, 1.5e38, "overflow halves the scale");
+        assert_eq!(t.scaler().unwrap().skipped, 1);
+        assert_eq!(
+            weights_digest(t.weights()),
+            before,
+            "overflowing step must leave the weights bit-unchanged"
+        );
+    }
+
+    /// Losses of `steps` full-batch steps on one scene, and the final
+    /// loss-scaler state.
+    fn fit(momentum: f32, amp: bool, steps: usize) -> (Vec<f32>, Option<LossScaler>) {
+        let cfg = TrainerConfig {
+            lr: 5e-3,
+            momentum,
+            micro_batches: 1,
+            amp,
+            ..TrainerConfig::default()
+        };
+        let mut t = Trainer::new(&net(), 7, &ctx(), cfg);
+        let input = scene(3, 2);
+        let losses = (0..steps).map(|_| t.step(&input).unwrap().loss).collect();
+        (losses, t.scaler().copied())
+    }
+
+    #[test]
+    fn momentum_sgd_converges_faster_than_plain_sgd() {
+        let (plain, _) = fit(0.0, false, 12);
+        let (momentum, _) = fit(0.9, false, 12);
+        assert!(plain.last().unwrap() < &plain[0]);
+        assert!(momentum.last().unwrap() < &momentum[0]);
+        assert!(
+            momentum.last().unwrap() < plain.last().unwrap(),
+            "momentum {momentum:?} vs plain {plain:?}"
+        );
+    }
+
+    #[test]
+    fn amp_training_converges_and_tracks_fp32() {
+        let (amp, scaler) = fit(0.9, true, 14);
+        let scaler = scaler.expect("AMP enabled");
+        assert!(amp.last().unwrap() < &(amp[0] * 0.9), "{amp:?}");
+        // The conventional 2^16 starting scale may overflow on the
+        // first step or two (exactly like real AMP), then settles.
+        assert!(
+            scaler.skipped <= 4,
+            "too many skipped steps: {}",
+            scaler.skipped
+        );
+        assert!(scaler.good_steps >= 8);
+
+        // Same convergence as FP32, with bounded drift from FP16
+        // gradient rounding and any skipped warmup steps.
+        let (fp32, _) = fit(0.9, false, 14);
+        assert_eq!(amp[0], fp32[0], "first loss is pre-update");
+        let (a, b) = (amp.last().unwrap(), fp32.last().unwrap());
+        assert!(
+            (a - b).abs() < 0.4 * b.max(1.0),
+            "amp {amp:?} vs fp32 {fp32:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "momentum must be in")]
+    fn rejects_bad_momentum() {
+        let cfg = TrainerConfig {
+            momentum: 1.0,
+            ..TrainerConfig::default()
+        };
+        let _ = Trainer::new(&net(), 1, &ctx(), cfg);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ts_verify::{fuzz, fuzz_stream, fuzz_train, replay_corpus, write_repro, write_stream_repro};
+use ts_verify::{
+    fuzz, replay_corpus, write_repro, Conformance, Scenario, StreamScenario, TrainScenario,
+};
 
 /// Default corpus/repro directory: `tests/repros/` at the workspace
 /// root, resolved relative to this crate so the binary works from any
@@ -139,17 +141,8 @@ fn run_corpus(dir: &Path) -> bool {
         } else {
             failed += 1;
             println!("FAIL {}", r.path.display());
-            for v in &r.violations {
-                println!("  violation: {v}");
-            }
-            for m in &r.mismatches {
-                println!("  mismatch: {m}");
-            }
-            for m in &r.stream_mismatches {
-                println!("  stream mismatch: {m}");
-            }
-            for m in &r.train_mismatches {
-                println!("  train mismatch: {m}");
+            for f in &r.failures {
+                println!("  {f}");
             }
         }
     }
@@ -157,99 +150,38 @@ fn run_corpus(dir: &Path) -> bool {
     failed == 0
 }
 
-fn run_fuzz(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "fuzz: {} scenario(s) from seed {seed:#x}, all conformant",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "fuzz: counterexample after {} scenario(s): {} point(s), {}x{} channels, kernel {}",
-                report.iterations,
-                ce.scenario.coords.len(),
-                ce.scenario.c_in,
-                ce.scenario.c_out,
-                ce.scenario.kernel_size
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match write_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
+/// Fuzzes family `C` and reports in its words: `ran` names what a
+/// scenario is, `verdict` what a clean run shows, `unit` what the
+/// counterexample was found after.
+fn run_mode<C: Conformance>(args: &Args, mode: &str, ran: &str, verdict: &str, unit: &str) -> bool {
+    let seed = args.seed;
+    let (iterations, found) = fuzz::<C>(seed, args.iters);
+    let Some(ce) = found else {
+        println!("{mode}: {iterations} {ran} from seed {seed:#x}, {verdict}");
+        return true;
+    };
+    eprintln!(
+        "{mode}: counterexample after {iterations} {unit}: {}",
+        ce.scenario.summary()
+    );
+    for m in &ce.mismatches {
+        eprintln!("  {m}");
     }
+    match write_repro(&args.repro_dir, &ce) {
+        Ok(path) => eprintln!("repro written to {}", path.display()),
+        Err(e) => eprintln!("could not write repro: {e}"),
+    }
+    false
 }
 
-fn run_stream(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz_stream(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "stream: {} frame-delta sequence(s) from seed {seed:#x}, all equivalent to rebuilds",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "stream: counterexample after {} sequence(s): {} base point(s), {} frame(s), threshold {}, kernel {}",
-                report.iterations,
-                ce.scenario.base.len(),
-                ce.scenario.frames.len(),
-                ce.scenario.churn_threshold,
-                ce.scenario.kernel_size
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match write_stream_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
-    }
-}
-
-fn run_train(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz_train(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "train: {} training step(s) from seed {seed:#x}, all conformant",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "train: counterexample after {} scenario(s): {} point(s), {}x{}x{} channels, kernel {}, {} micro-batch(es)",
-                report.iterations,
-                ce.scenario.coords.len(),
-                ce.scenario.c_in,
-                ce.scenario.c_mid,
-                ce.scenario.c_out,
-                ce.scenario.kernel_size,
-                ce.scenario.micro_batches
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match ts_verify::write_train_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
-    }
+/// Fuzzes family `C` with the dataflow mutation `mutation` planted
+/// (the `mutate` feature's `TS_MUTATE` hook in `ts-dataflow`).
+#[cfg(feature = "mutate")]
+fn fuzz_mutated<C: Conformance>(mutation: &str) -> Option<ts_verify::Counterexample<C>> {
+    std::env::set_var("TS_MUTATE", mutation);
+    let (_, found) = fuzz::<C>(0x5EED_F11B, 8);
+    std::env::remove_var("TS_MUTATE");
+    found
 }
 
 /// Flips a sign inside one dataflow's forward kernel and one's wgrad
@@ -259,10 +191,7 @@ fn run_train(seed: u64, iters: usize, repro_dir: &Path) -> bool {
 /// detects real defects rather than vacuously passing.
 #[cfg(feature = "mutate")]
 fn run_mutation_smoke(repro_dir: &Path) -> ExitCode {
-    std::env::set_var("TS_MUTATE", "sign-flip");
-    let report = fuzz(0x5EED_F11B, 8);
-    std::env::remove_var("TS_MUTATE");
-    let Some(ce) = report.counterexample else {
+    let Some(ce) = fuzz_mutated::<Scenario>("sign-flip") else {
         eprintln!("mutation smoke FAILED: sign-flipped dataflow was not caught");
         return ExitCode::FAILURE;
     };
@@ -285,10 +214,7 @@ fn run_mutation_smoke(repro_dir: &Path) -> ExitCode {
 
     // Second leg: a wgrad-only sign flip is invisible to inference but
     // must be caught (and shrunk) by the training harness.
-    std::env::set_var("TS_MUTATE", "wgrad-sign-flip");
-    let report = fuzz_train(0x5EED_F11B, 8);
-    std::env::remove_var("TS_MUTATE");
-    let Some(ce) = report.counterexample else {
+    let Some(ce) = fuzz_mutated::<TrainScenario>("wgrad-sign-flip") else {
         eprintln!("mutation smoke FAILED: wgrad sign flip was not caught by --train");
         return ExitCode::FAILURE;
     };
@@ -305,7 +231,7 @@ fn run_mutation_smoke(repro_dir: &Path) -> ExitCode {
         eprintln!("mutation smoke FAILED: train repro has {points} points, expected <= 8");
         return ExitCode::FAILURE;
     }
-    match ts_verify::write_train_repro(&smoke_dir, &ce) {
+    match write_repro(&smoke_dir, &ce) {
         Ok(path) => println!(
             "mutation smoke passed: wgrad sign flip caught by --train, shrunk to {points} point(s), repro at {}",
             path.display()
@@ -345,15 +271,33 @@ fn main() -> ExitCode {
     }
     if args.fuzz && !failed {
         ran = true;
-        failed |= !run_fuzz(args.seed, args.iters, &args.repro_dir);
+        failed |= !run_mode::<Scenario>(
+            &args,
+            "fuzz",
+            "scenario(s)",
+            "all conformant",
+            "scenario(s)",
+        );
     }
     if args.stream && !failed {
         ran = true;
-        failed |= !run_stream(args.seed, args.iters, &args.repro_dir);
+        failed |= !run_mode::<StreamScenario>(
+            &args,
+            "stream",
+            "frame-delta sequence(s)",
+            "all equivalent to rebuilds",
+            "sequence(s)",
+        );
     }
     if args.train && !failed {
         ran = true;
-        failed |= !run_train(args.seed, args.iters, &args.repro_dir);
+        failed |= !run_mode::<TrainScenario>(
+            &args,
+            "train",
+            "training step(s)",
+            "all conformant",
+            "scenario(s)",
+        );
     }
     if !ran {
         return usage();

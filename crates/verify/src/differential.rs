@@ -10,12 +10,15 @@
 //! — so each precision gets its own derived tolerance instead of one
 //! hard-coded epsilon.
 
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ts_dataflow::{ConvWeights, DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
 use ts_kernelmap::{build_submanifold_map, unique_coords, Coord, KernelMap, KernelOffsets};
 use ts_tensor::{rng_from_seed, uniform_matrix, ErrorBudget, Matrix, Precision};
+
+use crate::{Conformance, Shrinker};
 
 /// One point of a scenario, in a named-field form that serializes to
 /// self-describing JSON (`{"b":0,"x":1,...}`).
@@ -136,11 +139,16 @@ impl Scenario {
     /// splits 0 through 4 plus both unfused variants when none are
     /// pinned).
     pub fn active_configs(&self) -> Vec<DataflowConfig> {
-        if self.configs.is_empty() {
-            all_configs()
-        } else {
-            self.configs.clone()
-        }
+        configs_or_all(&self.configs)
+    }
+}
+
+/// `configs`, or the full design space ([`all_configs`]) when empty.
+pub(crate) fn configs_or_all(configs: &[DataflowConfig]) -> Vec<DataflowConfig> {
+    if configs.is_empty() {
+        all_configs()
+    } else {
+        configs.to_vec()
     }
 }
 
@@ -156,11 +164,11 @@ pub fn all_configs() -> Vec<DataflowConfig> {
     v
 }
 
-fn quantize_matrix(precision: Precision, m: &mut Matrix) {
+pub(crate) fn quantize_matrix(precision: Precision, m: &mut Matrix) {
     precision.quantize_slice(m.as_mut_slice());
 }
 
-fn quantize_weights(precision: Precision, w: &mut ConvWeights) {
+pub(crate) fn quantize_weights(precision: Precision, w: &mut ConvWeights) {
     for k in 0..w.kernel_volume() {
         precision.quantize_slice(w.offset_mut(k).as_mut_slice());
     }
@@ -169,7 +177,7 @@ fn quantize_weights(precision: Precision, w: &mut ConvWeights) {
 /// Compares two equally shaped matrices under `budget`, returning the
 /// worst out-of-budget element (if any) as a partially filled
 /// [`Mismatch`] (caller stamps config/pass/precision).
-fn worst_mismatch(
+pub(crate) fn worst_mismatch(
     expected: &Matrix,
     actual: &Matrix,
     budget: &ErrorBudget,
@@ -297,6 +305,111 @@ pub fn check_scenario_maps(scenario: &Scenario) -> Vec<crate::Violation> {
     out
 }
 
+/// Pins a full-space scenario to the config of its first mismatch, so
+/// every later shrink evaluation runs one dataflow instead of the whole
+/// space.
+pub(crate) fn pin_failing_config<C: Conformance<Failure = Mismatch>>(
+    sh: &mut Shrinker<C>,
+    configs: impl Fn(&mut C) -> &mut Vec<DataflowConfig>,
+) {
+    if configs(&mut sh.best).is_empty() {
+        let mut cand = sh.best.clone();
+        *configs(&mut cand) = vec![sh.failures[0].config];
+        sh.attempt(cand);
+    }
+}
+
+impl Conformance for Scenario {
+    type Failure = Mismatch;
+    const REPRO_PREFIX: &'static str = "repro-seed-";
+    const FAILURE_LABEL: &'static str = "mismatch";
+    /// Each evaluation runs the full dataflow × pass × precision matrix,
+    /// so shrinking is the expensive part of a fuzz failure; 300
+    /// evaluations minimize any scenario this fuzzer can generate.
+    const SHRINK_BUDGET: usize = 300;
+
+    /// Scenarios are intentionally small (≤ 48 points, ≤ 8 channels):
+    /// the differential matrix multiplies out to hundreds of executions
+    /// per scenario, and conformance defects in index plumbing do not
+    /// need large clouds to surface.
+    fn generate(seed: u64) -> Self {
+        let mut rng = rng_from_seed(seed ^ 0xD1FF_7C0D);
+        let n: usize = rng.gen_range(1..=48);
+        let batches: i32 = rng.gen_range(1..=2);
+        let kernel_size: u32 = rng.gen_range(2..=3);
+        let c_in: usize = rng.gen_range(1..=8);
+        let c_out: usize = rng.gen_range(1..=8);
+        let coords = (0..n)
+            .map(|_| ReproCoord {
+                b: rng.gen_range(0..batches),
+                x: rng.gen_range(-6..=6),
+                y: rng.gen_range(-6..=6),
+                z: rng.gen_range(-2..=2),
+            })
+            .collect();
+        Scenario {
+            seed,
+            coords,
+            c_in,
+            c_out,
+            kernel_size,
+            configs: Vec::new(),
+        }
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&self) -> Vec<Mismatch> {
+        run_scenario(self)
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "{} point(s), {}x{} channels, kernel {}",
+            self.coords.len(),
+            self.c_in,
+            self.c_out,
+            self.kernel_size
+        )
+    }
+
+    fn corpus_violations(&self) -> Vec<crate::Violation> {
+        check_scenario_maps(self)
+    }
+
+    fn shrink_first(sh: &mut Shrinker<Self>) {
+        pin_failing_config(sh, |s| &mut s.configs);
+    }
+
+    /// Points (halved, then dropped singly), channels toward 1, then
+    /// the kernel (drops whole offset planes).
+    fn shrink_round(sh: &mut Shrinker<Self>) -> bool {
+        let mut progress = sh.halve_then_drop(|s| &mut s.coords);
+        for f in [
+            |s: &mut Scenario| s.c_in = 1,
+            |s: &mut Scenario| s.c_in /= 2,
+            |s: &mut Scenario| s.c_out = 1,
+            |s: &mut Scenario| s.c_out /= 2,
+        ] {
+            let mut cand = sh.best.clone();
+            f(&mut cand);
+            cand.c_in = cand.c_in.max(1);
+            cand.c_out = cand.c_out.max(1);
+            if cand != sh.best && sh.attempt(cand) {
+                progress = true;
+            }
+        }
+        if sh.best.kernel_size > 1 {
+            let mut cand = sh.best.clone();
+            cand.kernel_size -= 1;
+            progress |= sh.attempt(cand);
+        }
+        progress
+    }
+}
+
 /// The largest reduction depth of a map (used by tests to reason about
 /// budget scaling).
 pub fn max_fan_in(map: &KernelMap) -> usize {
@@ -388,5 +501,29 @@ mod tests {
         let first = s.coords[0];
         s.coords.push(first);
         assert!(run_scenario(&s).is_empty());
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        assert_eq!(Scenario::generate(123), Scenario::generate(123));
+        assert_ne!(Scenario::generate(123), Scenario::generate(124));
+    }
+
+    #[test]
+    fn generated_scenarios_are_well_formed() {
+        for seed in 0..20 {
+            let s = Scenario::generate(seed);
+            assert!(!s.coords.is_empty());
+            assert!((1..=8).contains(&s.c_in));
+            assert!((1..=8).contains(&s.c_out));
+            assert!((2..=3).contains(&s.kernel_size));
+        }
+    }
+
+    #[test]
+    fn clean_dataflows_survive_a_short_fuzz_burst() {
+        let (iterations, found) = crate::fuzz::<Scenario>(0xBEEF, 4);
+        assert_eq!(iterations, 4);
+        assert!(found.is_none(), "unexpected counterexample: {found:#?}");
     }
 }

@@ -15,21 +15,22 @@
 //!   {fwd, dgrad, wgrad} × {FP16, TF32, FP32} against
 //!   `ts_dataflow::reference`, with per-precision ULP-aware
 //!   [`ts_tensor::ErrorBudget`]s instead of one hard-coded epsilon.
-//! * **Seeded fuzzer with shrinking** ([`fuzz`]) — random scenarios;
-//!   on failure the scenario is minimized (drop points, collapse
-//!   channels, shrink the kernel, pin the config) and serialized as a
-//!   JSON [`Counterexample`] for `tests/repros/`.
-//! * **Temporal stream mode** ([`fuzz_stream`], [`run_stream_scenario`])
-//!   — frame-delta sequences replayed through the incremental
-//!   kernel-map engine ([`ts_kernelmap::IncrementalMap`]) and compared
-//!   structurally against from-scratch rebuilds after every frame;
-//!   failures shrink to a minimal frame sequence first.
-//! * **Training mode** ([`fuzz_train`], [`run_train_scenario`]) —
-//!   whole training steps (forward + loss + dgrad + wgrad + micro-batch
-//!   gradient accumulation) through `ts_core::forward_backward` on a
-//!   compiled session, every dataflow × precision against the
-//!   full-batch `ts_dataflow::reference` step; failures shrink the
-//!   micro-batch count first, then the scenario.
+//! * **Conformance families** — the differential [`Scenario`] (one
+//!   conv, every pass), the temporal [`StreamScenario`] (frame-delta
+//!   sequences through the incremental kernel-map engine
+//!   [`ts_kernelmap::IncrementalMap`], compared structurally against
+//!   from-scratch rebuilds after every frame) and the whole-step
+//!   [`TrainScenario`] (forward + loss + dgrad + wgrad + micro-batch
+//!   gradient accumulation through `ts_core::forward_backward`, every
+//!   dataflow × precision against the full-batch reference). Each
+//!   implements [`Conformance`]: a seeded generator, its check
+//!   ([`run_scenario`], [`run_stream_scenario`],
+//!   [`run_train_scenario`]) and its shrink passes.
+//! * **One driver** for every family: [`fuzz`] draws seeded scenarios
+//!   and [`shrink`]s the first failure to a local minimum within a
+//!   per-family evaluation budget; [`write_repro`] serializes the JSON
+//!   [`Counterexample`] for `tests/repros/`; [`replay_corpus`] replays a
+//!   directory of them, dispatching each file to its family.
 //!
 //! The `verify` binary drives all of them: `--corpus` replays
 //! checked-in repros (CI gate, all scenario kinds), `--fuzz --seed S
@@ -55,29 +56,22 @@
 //! assert!(run_scenario(&scenario).is_empty(), "all dataflows conform");
 //! ```
 
+mod conformance;
 mod differential;
-mod fuzz;
 mod invariants;
 mod stream;
 mod train;
 mod violation;
 
+pub use conformance::{
+    fuzz, replay_corpus, shrink, write_repro, Conformance, CorpusResult, Counterexample, Shrinker,
+};
 pub use differential::{
     all_configs, check_scenario_maps, max_fan_in, run_scenario, Mismatch, Pass, ReproCoord,
     Scenario,
 };
-pub use fuzz::{
-    fuzz, generate_scenario, replay_corpus, shrink, write_repro, CorpusResult, Counterexample,
-    FuzzReport,
-};
-pub use stream::{
-    fuzz_stream, generate_stream_scenario, run_stream_scenario, shrink_stream, write_stream_repro,
-    FrameOps, StreamCounterexample, StreamFuzzReport, StreamMismatch, StreamScenario,
-};
-pub use train::{
-    fuzz_train, generate_train_scenario, run_train_scenario, shrink_train, write_train_repro,
-    TrainCounterexample, TrainFuzzReport, TrainScenario,
-};
+pub use stream::{run_stream_scenario, FrameOps, StreamMismatch, StreamScenario};
+pub use train::{run_train_scenario, TrainScenario};
 
 pub use invariants::{
     check_coords, check_group_configs, check_kernel_map, check_network, check_schedule,

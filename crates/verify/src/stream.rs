@@ -12,10 +12,6 @@
 //! minimal frame sequence (fewest frames, then fewest points and ops)
 //! before serializing them for `tests/repros/`.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -25,12 +21,7 @@ use ts_kernelmap::{
 };
 use ts_tensor::rng_from_seed;
 
-use crate::ReproCoord;
-
-/// Evaluation budget for one stream shrink (each evaluation replays the
-/// whole frame sequence; structural checks only, so this is cheap
-/// relative to the differential matrix).
-const SHRINK_BUDGET: usize = 400;
+use crate::{Conformance, ReproCoord, Shrinker};
 
 /// One frame's delta, applied to the running coordinate set: `drop`
 /// removes by index (modulo the current length, so shrinking the cloud
@@ -75,27 +66,6 @@ impl std::fmt::Display for StreamMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "frame {}: {}", self.frame, self.detail)
     }
-}
-
-/// A shrunken failing stream scenario plus its mismatches. Serializes
-/// alongside [`crate::Counterexample`] files in the same corpus
-/// directory (`replay_corpus` tells them apart by the `frames` field).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamCounterexample {
-    /// The minimal failing scenario.
-    pub scenario: StreamScenario,
-    /// Mismatches observed when it was produced. Empty for checked-in
-    /// conformance scenarios.
-    pub mismatches: Vec<StreamMismatch>,
-}
-
-/// Outcome of a stream fuzz run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamFuzzReport {
-    /// Scenarios generated and executed.
-    pub iterations: usize,
-    /// First failure, already shrunken; `None` = all conformant.
-    pub counterexample: Option<StreamCounterexample>,
 }
 
 fn apply_ops(frame: &mut Vec<Coord>, ops: &FrameOps) {
@@ -175,192 +145,95 @@ pub fn run_stream_scenario(s: &StreamScenario) -> Vec<StreamMismatch> {
     mismatches
 }
 
-/// Deterministically generates the `i`-th stream scenario of a fuzz
-/// run: a small cloud plus 1–6 frame deltas at a randomly drawn churn
-/// threshold (including the degenerate 0.0 always-rebuild and >1.0
-/// always-patch corners).
-pub fn generate_stream_scenario(seed: u64) -> StreamScenario {
-    let mut rng = rng_from_seed(seed ^ 0x57_0EA4);
-    let n: usize = rng.gen_range(4..=40);
-    let batches: i32 = rng.gen_range(1..=2);
-    let coord = |rng: &mut rand_chacha::ChaCha8Rng| ReproCoord {
-        b: rng.gen_range(0..batches),
-        x: rng.gen_range(-6..=6),
-        y: rng.gen_range(-6..=6),
-        z: rng.gen_range(-2..=2),
-    };
-    let base = (0..n).map(|_| coord(&mut rng)).collect();
-    let frames = (0..rng.gen_range(1..=6usize))
-        .map(|_| FrameOps {
-            drop: (0..rng.gen_range(0..=6usize))
-                .map(|_| rng.gen_range(0..4096usize))
-                .collect(),
-            add: (0..rng.gen_range(0..=6usize))
-                .map(|_| coord(&mut rng))
-                .collect(),
-        })
-        .collect();
-    StreamScenario {
-        seed,
-        base,
-        frames,
-        churn_threshold: [0.0f32, 0.15, 0.35, 0.7, 1.2][rng.gen_range(0..5usize)],
-        kernel_size: [1, 3][rng.gen_range(0..2usize)],
-        split_count: rng.gen_range(1..=3),
-    }
-}
+impl Conformance for StreamScenario {
+    type Failure = StreamMismatch;
+    const REPRO_PREFIX: &'static str = "repro-stream-seed-";
+    const FAILURE_LABEL: &'static str = "stream mismatch";
+    /// Each evaluation replays the whole frame sequence; structural
+    /// checks only, so this is cheap relative to the differential
+    /// matrix.
+    const SHRINK_BUDGET: usize = 400;
 
-/// Runs `iters` seeded stream scenarios starting at `seed`; stops at
-/// (and shrinks) the first failure.
-pub fn fuzz_stream(seed: u64, iters: usize) -> StreamFuzzReport {
-    for i in 0..iters {
-        let scenario = generate_stream_scenario(seed.wrapping_add(i as u64));
-        let mismatches = run_stream_scenario(&scenario);
-        if !mismatches.is_empty() {
-            let (scenario, mismatches) = shrink_stream(&scenario, mismatches);
-            return StreamFuzzReport {
-                iterations: i + 1,
-                counterexample: Some(StreamCounterexample {
-                    scenario,
-                    mismatches,
-                }),
-            };
+    /// A small cloud plus 1–6 frame deltas at a randomly drawn churn
+    /// threshold (including the degenerate 0.0 always-rebuild and >1.0
+    /// always-patch corners).
+    fn generate(seed: u64) -> Self {
+        let mut rng = rng_from_seed(seed ^ 0x57_0EA4);
+        let n: usize = rng.gen_range(4..=40);
+        let batches: i32 = rng.gen_range(1..=2);
+        let coord = |rng: &mut rand_chacha::ChaCha8Rng| ReproCoord {
+            b: rng.gen_range(0..batches),
+            x: rng.gen_range(-6..=6),
+            y: rng.gen_range(-6..=6),
+            z: rng.gen_range(-2..=2),
+        };
+        let base = (0..n).map(|_| coord(&mut rng)).collect();
+        let frames = (0..rng.gen_range(1..=6usize))
+            .map(|_| FrameOps {
+                drop: (0..rng.gen_range(0..=6usize))
+                    .map(|_| rng.gen_range(0..4096usize))
+                    .collect(),
+                add: (0..rng.gen_range(0..=6usize))
+                    .map(|_| coord(&mut rng))
+                    .collect(),
+            })
+            .collect();
+        StreamScenario {
+            seed,
+            base,
+            frames,
+            churn_threshold: [0.0f32, 0.15, 0.35, 0.7, 1.2][rng.gen_range(0..5usize)],
+            kernel_size: [1, 3][rng.gen_range(0..2usize)],
+            split_count: rng.gen_range(1..=3),
         }
     }
-    StreamFuzzReport {
-        iterations: iters,
-        counterexample: None,
-    }
-}
 
-/// Shrinks a failing stream scenario to a local minimum. Frames first —
-/// the point of the mode is a *minimal frame sequence* — then base
-/// points, then the ops inside the surviving frames.
-pub fn shrink_stream(
-    scenario: &StreamScenario,
-    mismatches: Vec<StreamMismatch>,
-) -> (StreamScenario, Vec<StreamMismatch>) {
-    let mut best = scenario.clone();
-    let mut best_mismatches = mismatches;
-    let mut evals = 0usize;
-
-    let attempt = |cand: StreamScenario,
-                   best: &mut StreamScenario,
-                   best_mismatches: &mut Vec<StreamMismatch>,
-                   evals: &mut usize|
-     -> bool {
-        if *evals >= SHRINK_BUDGET {
-            return false;
-        }
-        *evals += 1;
-        let m = run_stream_scenario(&cand);
-        if m.is_empty() {
-            return false;
-        }
-        *best = cand;
-        *best_mismatches = m;
-        true
-    };
-
-    // Truncate to the first failing frame: everything after it is noise.
-    let first_bad = best_mismatches.iter().map(|m| m.frame).min().unwrap_or(0);
-    if first_bad < best.frames.len() {
-        let mut cand = best.clone();
-        cand.frames.truncate(first_bad.max(1));
-        attempt(cand, &mut best, &mut best_mismatches, &mut evals);
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    let mut progress = true;
-    while progress && evals < SHRINK_BUDGET {
-        progress = false;
+    fn run(&self) -> Vec<StreamMismatch> {
+        run_stream_scenario(self)
+    }
 
-        // Drop whole frames.
-        let mut i = 0;
-        while i < best.frames.len() && best.frames.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.frames.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
-                i += 1;
-            }
-        }
+    fn summary(&self) -> String {
+        format!(
+            "{} base point(s), {} frame(s), threshold {}, kernel {}",
+            self.base.len(),
+            self.frames.len(),
+            self.churn_threshold,
+            self.kernel_size
+        )
+    }
 
-        // Halve, then singly drop, base points.
-        while best.base.len() > 1 && evals < SHRINK_BUDGET {
-            let half = best.base.len() / 2;
-            let front = StreamScenario {
-                base: best.base[..half].to_vec(),
-                ..best.clone()
-            };
-            let back = StreamScenario {
-                base: best.base[half..].to_vec(),
-                ..best.clone()
-            };
-            if attempt(front, &mut best, &mut best_mismatches, &mut evals)
-                || attempt(back, &mut best, &mut best_mismatches, &mut evals)
-            {
-                progress = true;
-            } else {
-                break;
-            }
+    /// Truncates to the first failing frame: everything after it is
+    /// noise.
+    fn shrink_first(sh: &mut Shrinker<Self>) {
+        let first_bad = sh.failures.iter().map(|m| m.frame).min().unwrap_or(0);
+        if first_bad < sh.best.frames.len() {
+            let mut cand = sh.best.clone();
+            cand.frames.truncate(first_bad.max(1));
+            sh.attempt(cand);
         }
-        let mut i = 0;
-        while i < best.base.len() && best.base.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.base.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
-                i += 1;
-            }
-        }
+    }
 
-        // Thin out each surviving frame's ops.
-        for f in 0..best.frames.len() {
-            let mut op = 0;
-            while op < best.frames[f].drop.len() && evals < SHRINK_BUDGET {
-                let mut cand = best.clone();
-                cand.frames[f].drop.remove(op);
-                if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                    progress = true;
-                } else {
-                    op += 1;
-                }
-            }
-            let mut op = 0;
-            while op < best.frames[f].add.len() && evals < SHRINK_BUDGET {
-                let mut cand = best.clone();
-                cand.frames[f].add.remove(op);
-                if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                    progress = true;
-                } else {
-                    op += 1;
-                }
-            }
+    /// Frames first — the point of the mode is a *minimal frame
+    /// sequence* — then base points, then the ops inside the surviving
+    /// frames, then the plan.
+    fn shrink_round(sh: &mut Shrinker<Self>) -> bool {
+        let mut progress = sh.drop_each(1, |s| &mut s.frames);
+        progress |= sh.halve_then_drop(|s| &mut s.base);
+        for f in 0..sh.best.frames.len() {
+            progress |= sh.drop_each(0, |s| &mut s.frames[f].drop);
+            progress |= sh.drop_each(0, |s| &mut s.frames[f].add);
         }
-
-        // Simplify the plan.
-        if best.split_count > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
+        if sh.best.split_count > 1 {
+            let mut cand = sh.best.clone();
             cand.split_count = 1;
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            }
+            progress |= sh.attempt(cand);
         }
+        progress
     }
-    (best, best_mismatches)
-}
-
-/// Writes a stream counterexample as pretty JSON under `dir`, named by
-/// its seed. Returns the written path.
-pub fn write_stream_repro(dir: &Path, ce: &StreamCounterexample) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("repro-stream-seed-{}.json", ce.scenario.seed));
-    let json = serde_json::to_string_pretty(ce)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::write(&path, json)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -397,9 +270,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_well_formed() {
-        assert_eq!(generate_stream_scenario(9), generate_stream_scenario(9));
+        assert_eq!(StreamScenario::generate(9), StreamScenario::generate(9));
         for seed in 0..20 {
-            let s = generate_stream_scenario(seed);
+            let s = StreamScenario::generate(seed);
             assert!(!s.base.is_empty());
             assert!(!s.frames.is_empty());
             assert!(s.kernel_size % 2 == 1);
@@ -409,26 +282,23 @@ mod tests {
 
     #[test]
     fn clean_incremental_maps_survive_a_fuzz_burst() {
-        let report = fuzz_stream(0xFEED, 24);
-        assert_eq!(report.iterations, 24);
-        assert!(
-            report.counterexample.is_none(),
-            "unexpected counterexample: {:#?}",
-            report.counterexample
-        );
+        let (iterations, found) = crate::fuzz::<StreamScenario>(0xFEED, 24);
+        assert_eq!(iterations, 24);
+        assert!(found.is_none(), "unexpected counterexample: {found:#?}");
     }
 
     #[test]
     fn stream_counterexample_json_round_trip() {
-        let ce = StreamCounterexample {
-            scenario: generate_stream_scenario(3),
+        let ce = crate::Counterexample {
+            scenario: StreamScenario::generate(3),
             mismatches: vec![StreamMismatch {
                 frame: 2,
                 detail: "x".into(),
             }],
         };
         let json = serde_json::to_string_pretty(&ce).expect("serializes");
-        let back: StreamCounterexample = serde_json::from_str(&json).expect("deserializes");
+        let back: crate::Counterexample<StreamScenario> =
+            serde_json::from_str(&json).expect("deserializes");
         assert_eq!(ce, back);
     }
 
@@ -446,8 +316,11 @@ mod tests {
             frame: 1,
             detail: "planted".into(),
         }];
-        let (shrunk, kept) = shrink_stream(&s, fake.clone());
-        assert_eq!(shrunk, s);
-        assert_eq!(kept, fake);
+        let shrunk = crate::shrink(crate::Counterexample {
+            scenario: s.clone(),
+            mismatches: fake.clone(),
+        });
+        assert_eq!(shrunk.scenario, s);
+        assert_eq!(shrunk.mismatches, fake);
     }
 }

@@ -18,26 +18,21 @@
 //! [`ErrorBudget`](ts_tensor::ErrorBudget) scaled by the reduction
 //! depth, never a hard-coded epsilon.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ts_core::{NetworkBuilder, Session, SparseTensor, TrainConfigs};
 use ts_dataflow::{ConvWeights, DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
-use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
+use ts_kernelmap::{build_submanifold_map, unique_coords, Coord, KernelOffsets};
 use ts_tensor::{
     relu, relu_backward, rng_from_seed, uniform_matrix, ErrorBudget, Matrix, Precision,
 };
 
-use crate::{all_configs, Mismatch, Pass, ReproCoord, Scenario};
-
-/// Evaluation cap for one training-scenario shrink (each evaluation
-/// replays the full dataflow × precision × micro-batch matrix).
-const SHRINK_BUDGET: usize = 300;
+use crate::differential::{
+    configs_or_all, pin_failing_config, quantize_matrix, quantize_weights, worst_mismatch,
+};
+use crate::{Conformance, Mismatch, Pass, ReproCoord, Shrinker};
 
 /// A self-contained training-step test case: a two-conv ReLU network,
 /// deterministic features and weights, and a micro-batch count. The
@@ -66,64 +61,14 @@ pub struct TrainScenario {
 impl TrainScenario {
     /// The deduplicated coordinate list of this scenario.
     pub fn unique_coords(&self) -> Vec<Coord> {
-        Scenario {
-            seed: self.seed,
-            coords: self.coords.clone(),
-            c_in: self.c_in,
-            c_out: self.c_out,
-            kernel_size: self.kernel_size,
-            configs: Vec::new(),
-        }
-        .unique_coords()
+        unique_coords(&self.coords.iter().map(|&c| c.into()).collect::<Vec<_>>())
     }
 
     /// The configs this scenario tests (the full design space when none
     /// are pinned).
     pub fn active_configs(&self) -> Vec<DataflowConfig> {
-        if self.configs.is_empty() {
-            all_configs()
-        } else {
-            self.configs.clone()
-        }
+        configs_or_all(&self.configs)
     }
-}
-
-/// A shrunken failing training scenario plus its mismatches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainCounterexample {
-    /// The minimal failing scenario.
-    pub scenario: TrainScenario,
-    /// Mismatches observed when the counterexample was produced.
-    pub mismatches: Vec<Mismatch>,
-}
-
-/// Outcome of a training-mode fuzz run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainFuzzReport {
-    /// Scenarios generated and executed.
-    pub iterations: usize,
-    /// First failure found, already shrunken; `None` = all conformant.
-    pub counterexample: Option<TrainCounterexample>,
-}
-
-/// Worst out-of-budget element of two equally long slices.
-fn worst(
-    expected: &[f32],
-    actual: &[f32],
-    budget: &ErrorBudget,
-    label: &str,
-    cols: usize,
-) -> Option<(f32, f32, f32, String)> {
-    assert_eq!(expected.len(), actual.len(), "{label}: shape mismatch");
-    let cols = cols.max(1);
-    let mut out: Option<(f32, f32, f32, String)> = None;
-    for (i, (&e, &a)) in expected.iter().zip(actual).enumerate() {
-        let err = budget.normalized_error(e, a);
-        if err > 1.0 && out.as_ref().is_none_or(|w| err > w.0) {
-            out = Some((err, e, a, format!("{label}[{}, {}]", i / cols, i % cols)));
-        }
-    }
-    out
 }
 
 /// Runs the whole training step of `scenario` — forward, loss, dgrad,
@@ -171,12 +116,9 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
         let mut x = uniform_matrix(&mut rng, coords.len(), c_in, -1.0, 1.0);
         let mut w1 = ConvWeights::random(&mut rng, kvol, c_in, c_mid);
         let mut w2 = ConvWeights::random(&mut rng, kvol, c_mid, c_out);
-        precision.quantize_slice(x.as_mut_slice());
-        for w in [&mut w1, &mut w2] {
-            for kk in 0..kvol {
-                precision.quantize_slice(w.offset_mut(kk).as_mut_slice());
-            }
-        }
+        quantize_matrix(precision, &mut x);
+        quantize_weights(precision, &mut w1);
+        quantize_weights(precision, &mut w2);
 
         // Full-batch reference from Equation 1 and its adjoints.
         let y1 = ts_dataflow::reference_forward(&x, &w1, &map);
@@ -254,22 +196,26 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
             record(
                 Pass::Forward,
                 &loss_budget,
-                worst(&[ref_loss], &[loss], &loss_budget, "loss", 1),
+                worst_mismatch(
+                    &Matrix::filled(1, 1, ref_loss),
+                    &Matrix::filled(1, 1, loss),
+                    &loss_budget,
+                    "loss",
+                ),
             );
             record(
                 Pass::Dgrad,
                 &dgrad_budget,
-                worst(ref_dx.as_slice(), dx.as_slice(), &dgrad_budget, "dx", c_in),
+                worst_mismatch(&ref_dx, &dx, &dgrad_budget, "dx"),
             );
             for (label, reference, actual) in [("dw1", &ref_dw1, &dw1), ("dw2", &ref_dw2, &dw2)] {
                 let found = (0..kvol)
                     .filter_map(|kk| {
-                        worst(
-                            reference.offset(kk).as_slice(),
-                            actual.offset(kk).as_slice(),
+                        worst_mismatch(
+                            reference.offset(kk),
+                            actual.offset(kk),
                             &wgrad_budget,
                             &format!("{label}[{kk}]"),
-                            reference.offset(kk).cols(),
                         )
                     })
                     .max_by(|a, b| a.0.total_cmp(&b.0));
@@ -280,143 +226,79 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
     mismatches
 }
 
-/// Deterministically generates the `i`-th training scenario of a fuzz
-/// run. Scenarios are small (≤ 32 points, ≤ 6 channels, ≤ 3 batches):
-/// the matrix multiplies out to hundreds of whole training steps per
-/// scenario.
-pub fn generate_train_scenario(seed: u64) -> TrainScenario {
-    let mut rng = rng_from_seed(seed ^ 0x7EA1_7A1D);
-    let n: usize = rng.gen_range(1..=32);
-    let batches: i32 = rng.gen_range(1..=3);
-    let coords = (0..n)
-        .map(|_| ReproCoord {
-            b: rng.gen_range(0..batches),
-            x: rng.gen_range(-5..=5),
-            y: rng.gen_range(-5..=5),
-            z: rng.gen_range(-2..=2),
-        })
-        .collect();
-    TrainScenario {
-        seed,
-        coords,
-        c_in: rng.gen_range(1..=6),
-        c_mid: rng.gen_range(1..=6),
-        c_out: rng.gen_range(1..=6),
-        kernel_size: rng.gen_range(2..=3),
-        micro_batches: rng.gen_range(1..=3),
-        configs: Vec::new(),
-    }
-}
+impl Conformance for TrainScenario {
+    type Failure = Mismatch;
+    const REPRO_PREFIX: &'static str = "repro-train-seed-";
+    const FAILURE_LABEL: &'static str = "train mismatch";
+    /// Each evaluation replays the full dataflow × precision ×
+    /// micro-batch matrix.
+    const SHRINK_BUDGET: usize = 300;
 
-/// Runs `iters` seeded training scenarios starting at `seed`; stops at
-/// (and shrinks) the first failure.
-pub fn fuzz_train(seed: u64, iters: usize) -> TrainFuzzReport {
-    for i in 0..iters {
-        let scenario = generate_train_scenario(seed.wrapping_add(i as u64));
-        let mismatches = run_train_scenario(&scenario);
-        if !mismatches.is_empty() {
-            let (scenario, mismatches) = shrink_train(&scenario, mismatches);
-            return TrainFuzzReport {
-                iterations: i + 1,
-                counterexample: Some(TrainCounterexample {
-                    scenario,
-                    mismatches,
-                }),
-            };
+    /// Scenarios are small (≤ 32 points, ≤ 6 channels, ≤ 3 batches):
+    /// the matrix multiplies out to hundreds of whole training steps per
+    /// scenario.
+    fn generate(seed: u64) -> Self {
+        let mut rng = rng_from_seed(seed ^ 0x7EA1_7A1D);
+        let n: usize = rng.gen_range(1..=32);
+        let batches: i32 = rng.gen_range(1..=3);
+        let coords = (0..n)
+            .map(|_| ReproCoord {
+                b: rng.gen_range(0..batches),
+                x: rng.gen_range(-5..=5),
+                y: rng.gen_range(-5..=5),
+                z: rng.gen_range(-2..=2),
+            })
+            .collect();
+        TrainScenario {
+            seed,
+            coords,
+            c_in: rng.gen_range(1..=6),
+            c_mid: rng.gen_range(1..=6),
+            c_out: rng.gen_range(1..=6),
+            kernel_size: rng.gen_range(2..=3),
+            micro_batches: rng.gen_range(1..=3),
+            configs: Vec::new(),
         }
     }
-    TrainFuzzReport {
-        iterations: iters,
-        counterexample: None,
-    }
-}
 
-/// Shrinks a failing training scenario to a local minimum: pin the
-/// failing config, collapse micro-batches toward one, drop points,
-/// collapse channels, shrink the kernel. The returned scenario still
-/// fails and no single step keeps it failing.
-pub fn shrink_train(
-    scenario: &TrainScenario,
-    mismatches: Vec<Mismatch>,
-) -> (TrainScenario, Vec<Mismatch>) {
-    let mut best = scenario.clone();
-    let mut best_mismatches = mismatches;
-    let mut evals = 0usize;
-
-    let attempt = |cand: TrainScenario,
-                   best: &mut TrainScenario,
-                   best_mismatches: &mut Vec<Mismatch>,
-                   evals: &mut usize|
-     -> bool {
-        if *evals >= SHRINK_BUDGET {
-            return false;
-        }
-        *evals += 1;
-        let m = run_train_scenario(&cand);
-        if m.is_empty() {
-            return false;
-        }
-        *best = cand;
-        *best_mismatches = m;
-        true
-    };
-
-    // Pin to the single failing config first.
-    if best.configs.is_empty() {
-        let mut cand = best.clone();
-        cand.configs = vec![best_mismatches[0].config];
-        attempt(cand, &mut best, &mut best_mismatches, &mut evals);
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    let mut progress = true;
-    while progress && evals < SHRINK_BUDGET {
-        progress = false;
+    fn run(&self) -> Vec<Mismatch> {
+        run_train_scenario(self)
+    }
 
-        // Fewer micro-batches first: a one-chunk repro rules out the
-        // accumulation plumbing as the culprit.
-        while best.micro_batches > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
+    fn summary(&self) -> String {
+        format!(
+            "{} point(s), {}x{}x{} channels, kernel {}, {} micro-batch(es)",
+            self.coords.len(),
+            self.c_in,
+            self.c_mid,
+            self.c_out,
+            self.kernel_size,
+            self.micro_batches
+        )
+    }
+
+    fn shrink_first(sh: &mut Shrinker<Self>) {
+        pin_failing_config(sh, |s| &mut s.configs);
+    }
+
+    /// Fewer micro-batches first (a one-chunk repro rules out the
+    /// accumulation plumbing as the culprit), then points, channels
+    /// toward 1 and the kernel.
+    fn shrink_round(sh: &mut Shrinker<Self>) -> bool {
+        let mut progress = false;
+        while sh.best.micro_batches > 1 && !sh.exhausted() {
+            let mut cand = sh.best.clone();
             cand.micro_batches -= 1;
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
+            if !sh.attempt(cand) {
                 break;
             }
+            progress = true;
         }
-
-        // Halving passes remove big chunks cheaply.
-        while best.coords.len() > 1 && evals < SHRINK_BUDGET {
-            let half = best.coords.len() / 2;
-            let front = TrainScenario {
-                coords: best.coords[..half].to_vec(),
-                ..best.clone()
-            };
-            let back = TrainScenario {
-                coords: best.coords[half..].to_vec(),
-                ..best.clone()
-            };
-            if attempt(front, &mut best, &mut best_mismatches, &mut evals)
-                || attempt(back, &mut best, &mut best_mismatches, &mut evals)
-            {
-                progress = true;
-            } else {
-                break;
-            }
-        }
-
-        // Greedy single-point drops mop up what bisection missed.
-        let mut i = 0;
-        while i < best.coords.len() && best.coords.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.coords.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
-                i += 1;
-            }
-        }
-
-        // Collapse channels toward 1.
+        progress |= sh.halve_then_drop(|s| &mut s.coords);
         for f in [
             |s: &mut TrainScenario| s.c_in = 1,
             |s: &mut TrainScenario| s.c_in /= 2,
@@ -425,37 +307,22 @@ pub fn shrink_train(
             |s: &mut TrainScenario| s.c_out = 1,
             |s: &mut TrainScenario| s.c_out /= 2,
         ] {
-            let mut cand = best.clone();
+            let mut cand = sh.best.clone();
             f(&mut cand);
             cand.c_in = cand.c_in.max(1);
             cand.c_mid = cand.c_mid.max(1);
             cand.c_out = cand.c_out.max(1);
-            if cand != best && attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
+            if cand != sh.best && sh.attempt(cand) {
                 progress = true;
             }
         }
-
-        // Shrink the kernel (drops whole offset planes).
-        if best.kernel_size > 1 {
-            let mut cand = best.clone();
+        if sh.best.kernel_size > 1 {
+            let mut cand = sh.best.clone();
             cand.kernel_size -= 1;
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            }
+            progress |= sh.attempt(cand);
         }
+        progress
     }
-    (best, best_mismatches)
-}
-
-/// Writes a training counterexample as pretty JSON under `dir`, named
-/// by its seed. Returns the written path.
-pub fn write_train_repro(dir: &Path, ce: &TrainCounterexample) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("repro-train-seed-{}.json", ce.scenario.seed));
-    let json = serde_json::to_string_pretty(ce)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::write(&path, json)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -464,14 +331,14 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(generate_train_scenario(5), generate_train_scenario(5));
-        assert_ne!(generate_train_scenario(5), generate_train_scenario(6));
+        assert_eq!(TrainScenario::generate(5), TrainScenario::generate(5));
+        assert_ne!(TrainScenario::generate(5), TrainScenario::generate(6));
     }
 
     #[test]
     fn generated_train_scenarios_are_well_formed() {
         for seed in 0..20 {
-            let s = generate_train_scenario(seed);
+            let s = TrainScenario::generate(seed);
             assert!(!s.coords.is_empty());
             assert!((1..=6).contains(&s.c_in));
             assert!((1..=6).contains(&s.c_mid));
@@ -483,20 +350,16 @@ mod tests {
 
     #[test]
     fn clean_pipeline_survives_a_short_train_fuzz_burst() {
-        let report = fuzz_train(0x7EA1, 2);
-        assert_eq!(report.iterations, 2);
-        assert!(
-            report.counterexample.is_none(),
-            "unexpected counterexample: {:#?}",
-            report.counterexample
-        );
+        let (iterations, found) = crate::fuzz::<TrainScenario>(0x7EA1, 2);
+        assert_eq!(iterations, 2);
+        assert!(found.is_none(), "unexpected counterexample: {found:#?}");
     }
 
     #[test]
     fn micro_batched_step_matches_full_batch_reference() {
         // Three batches accumulated in three chunks against the
         // full-batch reference: the accumulation identity itself.
-        let mut s = generate_train_scenario(0xACC);
+        let mut s = TrainScenario::generate(0xACC);
         s.micro_batches = 3;
         let mismatches = run_train_scenario(&s);
         assert!(mismatches.is_empty(), "{mismatches:#?}");
@@ -504,12 +367,13 @@ mod tests {
 
     #[test]
     fn train_counterexample_json_round_trip() {
-        let ce = TrainCounterexample {
-            scenario: generate_train_scenario(5),
+        let ce = crate::Counterexample {
+            scenario: TrainScenario::generate(5),
             mismatches: Vec::new(),
         };
         let json = serde_json::to_string_pretty(&ce).expect("serializes");
-        let back: TrainCounterexample = serde_json::from_str(&json).expect("deserializes");
+        let back: crate::Counterexample<TrainScenario> =
+            serde_json::from_str(&json).expect("deserializes");
         assert_eq!(ce, back);
     }
 

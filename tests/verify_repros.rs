@@ -1,9 +1,9 @@
 //! Replays the checked-in differential corpus under `tests/repros/`.
 //!
-//! Every file there is a [`ts_verify::Counterexample`]: either a seed
-//! conformance scenario or a shrunken repro of a since-fixed bug. Both
-//! must replay clean — a failure here means a dataflow regressed on a
-//! case the harness has already seen.
+//! Every file there is a [`ts_verify::Counterexample`] of one
+//! conformance family: either a seed conformance scenario or a shrunken
+//! repro of a since-fixed bug. Both must replay clean — a failure here
+//! means a dataflow regressed on a case the harness has already seen.
 
 use std::path::PathBuf;
 
@@ -20,10 +20,9 @@ fn corpus_replays_clean() {
     for r in &results {
         assert!(
             r.passed(),
-            "{} regressed:\nviolations: {:#?}\nmismatches: {:#?}",
+            "{} regressed:\n{:#?}",
             r.path.display(),
-            r.violations,
-            r.mismatches
+            r.failures
         );
     }
 }
