@@ -557,7 +557,7 @@ mod tests {
     use super::*;
     use ts_core::NetworkBuilder;
     use ts_gpusim::Device;
-    use ts_tensor::Precision;
+    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
     use ts_workloads::LidarConfig;
 
     fn net() -> Network {
@@ -652,9 +652,17 @@ mod tests {
         );
     }
 
-    /// Losses of `steps` full-batch steps on one scene, and the final
-    /// loss-scaler state.
+    /// Losses of `steps` full-batch steps of a conv block + 3-channel
+    /// head on a 6x6 point grid, and the final loss-scaler state. The
+    /// grid's gradients are large enough that the default 2^16 loss
+    /// scale overflows FP16.
     fn fit(momentum: f32, amp: bool, steps: usize) -> (Vec<f32>, Option<LossScaler>) {
+        let mut b = NetworkBuilder::new("grid", 4);
+        let c = b.conv_block("c", NetworkBuilder::INPUT, 8, 3, 1);
+        let _ = b.conv("head", c, 3, 1, 1);
+        let coords: Vec<Coord> = (0..36).map(|i| Coord::new(0, i % 6, i / 6, 0)).collect();
+        let feats = uniform_matrix(&mut rng_from_seed(2), coords.len(), 4, -1.0, 1.0);
+        let input = SparseTensor::new(coords, feats);
         let cfg = TrainerConfig {
             lr: 5e-3,
             momentum,
@@ -662,8 +670,7 @@ mod tests {
             amp,
             ..TrainerConfig::default()
         };
-        let mut t = Trainer::new(&net(), 7, &ctx(), cfg);
-        let input = scene(3, 2);
+        let mut t = Trainer::new(&b.build(), 7, &ctx(), cfg);
         let losses = (0..steps).map(|_| t.step(&input).unwrap().loss).collect();
         (losses, t.scaler().copied())
     }
@@ -685,13 +692,14 @@ mod tests {
         let (amp, scaler) = fit(0.9, true, 14);
         let scaler = scaler.expect("AMP enabled");
         assert!(amp.last().unwrap() < &(amp[0] * 0.9), "{amp:?}");
-        // The conventional 2^16 starting scale may overflow on the
-        // first step or two (exactly like real AMP), then settles.
+        // The conventional 2^16 starting scale overflows on the first
+        // step or two (exactly like real AMP), then settles.
         assert!(
             scaler.skipped <= 4,
             "too many skipped steps: {}",
             scaler.skipped
         );
+        assert!(scaler.scale < 65536.0, "scale should have backed off");
         assert!(scaler.good_steps >= 8);
 
         // Same convergence as FP32, with bounded drift from FP16

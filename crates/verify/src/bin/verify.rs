@@ -150,18 +150,24 @@ fn run_corpus(dir: &Path) -> bool {
     failed == 0
 }
 
-/// Fuzzes family `C` and reports in its words: `ran` names what a
-/// scenario is, `verdict` what a clean run shows, `unit` what the
-/// counterexample was found after.
-fn run_mode<C: Conformance>(args: &Args, mode: &str, ran: &str, verdict: &str, unit: &str) -> bool {
+/// Fuzzes family `C` and reports in its words; a counterexample is
+/// written under `--repro-dir`.
+fn run_mode<C: Conformance>(args: &Args) -> bool {
     let seed = args.seed;
     let (iterations, found) = fuzz::<C>(seed, args.iters);
     let Some(ce) = found else {
-        println!("{mode}: {iterations} {ran} from seed {seed:#x}, {verdict}");
+        println!(
+            "{}: {iterations} {} from seed {seed:#x}, {}",
+            C::MODE,
+            C::SCENARIOS,
+            C::VERDICT
+        );
         return true;
     };
     eprintln!(
-        "{mode}: counterexample after {iterations} {unit}: {}",
+        "{}: counterexample after {iterations} {}: {}",
+        C::MODE,
+        C::FOUND_AFTER,
         ce.scenario.summary()
     );
     for m in &ce.mismatches {
@@ -271,33 +277,15 @@ fn main() -> ExitCode {
     }
     if args.fuzz && !failed {
         ran = true;
-        failed |= !run_mode::<Scenario>(
-            &args,
-            "fuzz",
-            "scenario(s)",
-            "all conformant",
-            "scenario(s)",
-        );
+        failed |= !run_mode::<Scenario>(&args);
     }
     if args.stream && !failed {
         ran = true;
-        failed |= !run_mode::<StreamScenario>(
-            &args,
-            "stream",
-            "frame-delta sequence(s)",
-            "all equivalent to rebuilds",
-            "sequence(s)",
-        );
+        failed |= !run_mode::<StreamScenario>(&args);
     }
     if args.train && !failed {
         ran = true;
-        failed |= !run_mode::<TrainScenario>(
-            &args,
-            "train",
-            "training step(s)",
-            "all conformant",
-            "scenario(s)",
-        );
+        failed |= !run_mode::<TrainScenario>(&args);
     }
     if !ran {
         return usage();

@@ -26,6 +26,14 @@ pub trait Conformance: Clone + PartialEq + fmt::Debug + Serialize + Deserialize 
     const REPRO_PREFIX: &'static str;
     /// How corpus replay labels this family's failures.
     const FAILURE_LABEL: &'static str;
+    /// Name of the family's fuzz mode in fuzz reports.
+    const MODE: &'static str;
+    /// What the scenarios of a clean fuzz run are (plural).
+    const SCENARIOS: &'static str;
+    /// What a clean fuzz run shows.
+    const VERDICT: &'static str;
+    /// What a counterexample is reported as found after (plural).
+    const FOUND_AFTER: &'static str;
     /// Cap on scenario evaluations one shrink may spend.
     const SHRINK_BUDGET: usize;
 
@@ -38,7 +46,7 @@ pub trait Conformance: Clone + PartialEq + fmt::Debug + Serialize + Deserialize 
     /// One-line size summary of the scenario for fuzz reports.
     fn summary(&self) -> String;
     /// Shrink steps tried once, before the shrink rounds.
-    fn shrink_first(_sh: &mut Shrinker<Self>) {}
+    fn shrink_first(sh: &mut Shrinker<Self>);
     /// One round of shrink passes; returns whether any candidate was
     /// adopted.
     fn shrink_round(sh: &mut Shrinker<Self>) -> bool;

@@ -323,6 +323,10 @@ impl Conformance for Scenario {
     type Failure = Mismatch;
     const REPRO_PREFIX: &'static str = "repro-seed-";
     const FAILURE_LABEL: &'static str = "mismatch";
+    const MODE: &'static str = "fuzz";
+    const SCENARIOS: &'static str = "scenario(s)";
+    const VERDICT: &'static str = "all conformant";
+    const FOUND_AFTER: &'static str = "scenario(s)";
     /// Each evaluation runs the full dataflow × pass × precision matrix,
     /// so shrinking is the expensive part of a fuzz failure; 300
     /// evaluations minimize any scenario this fuzzer can generate.

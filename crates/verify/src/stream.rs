@@ -149,6 +149,10 @@ impl Conformance for StreamScenario {
     type Failure = StreamMismatch;
     const REPRO_PREFIX: &'static str = "repro-stream-seed-";
     const FAILURE_LABEL: &'static str = "stream mismatch";
+    const MODE: &'static str = "stream";
+    const SCENARIOS: &'static str = "frame-delta sequence(s)";
+    const VERDICT: &'static str = "all equivalent to rebuilds";
+    const FOUND_AFTER: &'static str = "sequence(s)";
     /// Each evaluation replays the whole frame sequence; structural
     /// checks only, so this is cheap relative to the differential
     /// matrix.

@@ -230,6 +230,10 @@ impl Conformance for TrainScenario {
     type Failure = Mismatch;
     const REPRO_PREFIX: &'static str = "repro-train-seed-";
     const FAILURE_LABEL: &'static str = "train mismatch";
+    const MODE: &'static str = "train";
+    const SCENARIOS: &'static str = "training step(s)";
+    const VERDICT: &'static str = "all conformant";
+    const FOUND_AFTER: &'static str = "scenario(s)";
     /// Each evaluation replays the full dataflow × precision ×
     /// micro-batch matrix.
     const SHRINK_BUDGET: usize = 300;
