@@ -25,7 +25,8 @@
 //!   dataflow × precision against the full-batch reference). Each
 //!   implements [`Conformance`]: a seeded generator, its check
 //!   ([`run_scenario`], [`run_stream_scenario`],
-//!   [`run_train_scenario`]) and its shrink passes.
+//!   [`run_train_scenario`]), its shrink passes, and the words its
+//!   failures and fuzz reports are printed in.
 //! * **One driver** for every family: [`fuzz`] draws seeded scenarios
 //!   and [`shrink`]s the first failure to a local minimum within a
 //!   per-family evaluation budget; [`write_repro`] serializes the JSON
