@@ -11,8 +11,8 @@ use ts_dataflow::{DataflowConfig, ExecCtx};
 use crate::run::run_network_in_session;
 use crate::schedule::{sanitize_configs, Downgrade, ScheduleArtifact, ScheduleError};
 use crate::{
-    run_network, CompileError, GroupConfigs, Network, NetworkWeights, RunReport, Session,
-    SparseTensor,
+    check_frame, run_network, CompileError, GroupConfigs, Network, NetworkWeights, RunReport,
+    Session, SparseTensor,
 };
 
 /// A ready-to-deploy inference engine: network + weights + tuned
@@ -89,16 +89,16 @@ impl Engine {
         (out, report)
     }
 
-    /// Fallible [`Engine::infer`]: validates the frame (channel width,
-    /// coordinate dedup) and compiles it with [`Session::try_new`], so a
-    /// malformed frame surfaces as a [`CompileError`] instead of killing
-    /// the calling thread. This is the path `ts-serve` workers use —
-    /// one bad frame must not take a worker down.
+    /// Fallible [`Engine::infer`]: validates the frame with
+    /// [`check_frame`] (channel width, coordinate range, dedup) and
+    /// compiles it with [`Session::try_new`], so a malformed frame
+    /// surfaces as a [`CompileError`] instead of killing the calling
+    /// thread. This is the path `ts-serve` workers use — one bad frame
+    /// must not take a worker down.
     ///
     /// # Errors
     ///
-    /// [`CompileError::ChannelMismatch`], [`CompileError::DuplicateCoords`],
-    /// or any error from [`Session::try_new`].
+    /// Any [`check_frame`] error, or any error from [`Session::try_new`].
     pub fn try_infer(
         &self,
         input: &SparseTensor,
@@ -131,19 +131,13 @@ impl Engine {
         if span.active() {
             span.arg("points", input.num_points());
         }
-        if input.channels() != self.network.in_channels() {
-            return Err(CompileError::ChannelMismatch {
-                expected: self.network.in_channels(),
-                got: input.channels(),
-            });
-        }
-        let unique = ts_kernelmap::unique_coords(input.coords()).len();
-        if unique != input.num_points() {
-            return Err(CompileError::DuplicateCoords {
-                points: input.num_points(),
-                unique,
-            });
-        }
+        check_frame(&self.network, input)?;
+        self.compile_checked(input)
+    }
+
+    /// [`Engine::compile`] for a frame that already passed
+    /// [`check_frame`].
+    pub(crate) fn compile_checked(&self, input: &SparseTensor) -> Result<Session, CompileError> {
         let session = Session::try_new(&self.network, input.coords())?;
         // Structural invariants of freshly built kernel maps. Cheap
         // relative to map construction but quadratic-ish on the dense

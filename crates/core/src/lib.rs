@@ -58,8 +58,8 @@ pub use schedule::{
     check_configs, sanitize_configs, Downgrade, ScheduleArtifact, ScheduleError, SCHEDULE_VERSION,
 };
 pub use session::{
-    CompileError, GroupConfigs, GroupInfo, GroupKey, GroupSignature, PrepareCacheCounters, Session,
-    SubmanifoldReuse, TrainConfigs,
+    check_frame, CompileError, GroupConfigs, GroupInfo, GroupKey, GroupSignature,
+    PrepareCacheCounters, Session, SubmanifoldReuse, TrainConfigs,
 };
 pub use sparse_tensor::SparseTensor;
 pub use stream::{permute_to, StreamState};

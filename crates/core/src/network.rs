@@ -114,6 +114,29 @@ impl Network {
             .count()
     }
 
+    /// Largest distance, per axis and in either direction, a kernel map
+    /// query moves away from a coordinate of the level it reads: the
+    /// kernel's offset half-width (`k / 2` for odd `k`, `k - 1` for the
+    /// even positive-corner neighborhood), plus `stride - 1` for strided
+    /// maps, whose queries start at the floor-rounded coarse coordinate.
+    /// Coarser levels hold divided coordinates, so input coordinates this
+    /// far inside the 16-bit key range keep every query in it. `0` for a
+    /// network without convolutions.
+    pub fn offset_reach(&self) -> i32 {
+        self.nodes
+            .iter()
+            .filter_map(|n| match n.op {
+                Op::Conv(c) => {
+                    let k = c.kernel_size as i32;
+                    let half = if k % 2 == 1 { k / 2 } else { k - 1 };
+                    Some(half + (c.stride - 1).max(0))
+                }
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Total parameter count over all convolutions.
     pub fn param_count(&self) -> usize {
         self.nodes

@@ -107,8 +107,9 @@ pub(crate) fn forward_features(
     for (i, node) in network.nodes().iter().enumerate().skip(1) {
         let x = feats[node.input]
             .as_ref()
-            .expect("producer already executed")
-            .clone();
+            .expect("producer already executed");
+        // Conv and Concat only read their input; the in-place ops
+        // (BN, ReLU, Add) start from a copy of it.
         let y = match node.op {
             Op::Input => unreachable!(),
             Op::Conv(_) => {
@@ -118,7 +119,7 @@ pub(crate) fn forward_features(
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
                 let prepared = prepare(&map, &cfg, fctx);
-                let out = forward_prepared(&x, w, &map, &prepared, &cfg, fctx);
+                let out = forward_prepared(x, w, &map, &prepared, &cfg, fctx);
                 let mut y = out.features.expect("functional context computes features");
                 if fctx.quantize_storage {
                     fctx.precision.quantize_slice(y.as_mut_slice());
@@ -126,7 +127,7 @@ pub(crate) fn forward_features(
                 y
             }
             Op::BatchNorm => {
-                let mut y = x;
+                let mut y = x.clone();
                 batch_norm(
                     &mut y,
                     weights.bns[i].as_ref().expect("bn params initialised"),
@@ -134,12 +135,12 @@ pub(crate) fn forward_features(
                 y
             }
             Op::ReLU => {
-                let mut y = x;
+                let mut y = x.clone();
                 relu(&mut y);
                 y
             }
             Op::Add { other } => {
-                let mut y = x;
+                let mut y = x.clone();
                 y.add_assign(feats[other].as_ref().expect("operand executed"));
                 y
             }

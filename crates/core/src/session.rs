@@ -17,7 +17,7 @@ use ts_kernelmap::{
 };
 
 use crate::report::{LayerTiming, RunReport};
-use crate::{ConvSpec, Network, Op};
+use crate::{ConvSpec, Network, Op, SparseTensor};
 
 /// Error compiling a network against an input coordinate set (or, via
 /// [`crate::Engine::try_infer`], validating an input frame against it).
@@ -47,6 +47,18 @@ pub enum CompileError {
         /// Distinct coordinates among them.
         unique: usize,
     },
+    /// An input coordinate component, widened by the network's kernel
+    /// reach ([`Network::offset_reach`]), leaves the 16-bit range
+    /// [`Coord::key`] packs, so its key (or a neighbor query's) would
+    /// alias another coordinate and build a silently wrong map.
+    CoordOutOfRange {
+        /// The offending axis: `"batch"`, `"x"`, `"y"` or `"z"`.
+        axis: &'static str,
+        /// The offending component value.
+        value: i32,
+        /// The network's kernel reach (`0` on the batch axis).
+        reach: i32,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -64,11 +76,62 @@ impl std::fmt::Display for CompileError {
                 f,
                 "input coordinates are not deduplicated: {points} points, {unique} unique"
             ),
+            CompileError::CoordOutOfRange { axis, value, reach } => write!(
+                f,
+                "input coordinate {axis} = {value} is outside [{}, {}] (kernel reach {reach})",
+                Coord::MIN_COMPONENT + reach,
+                Coord::MAX_COMPONENT - reach
+            ),
         }
     }
 }
 
 impl std::error::Error for CompileError {}
+
+/// Validates an input frame against `network` before any map is built:
+/// the feature width, every coordinate component against the 16-bit key
+/// range shrunk by the network's kernel reach, and coordinate
+/// deduplication (one hash pass). [`crate::Engine::compile`],
+/// [`crate::Engine::infer_stream`] and the training step all run this
+/// one check.
+///
+/// # Errors
+///
+/// [`CompileError::ChannelMismatch`], [`CompileError::CoordOutOfRange`]
+/// (checked before dedup, whose keys it guards) or
+/// [`CompileError::DuplicateCoords`].
+pub fn check_frame(network: &Network, input: &SparseTensor) -> Result<(), CompileError> {
+    if input.channels() != network.in_channels() {
+        return Err(CompileError::ChannelMismatch {
+            expected: network.in_channels(),
+            got: input.channels(),
+        });
+    }
+    let reach = network.offset_reach();
+    let spatial = (Coord::MIN_COMPONENT + reach)..=(Coord::MAX_COMPONENT - reach);
+    let batch = Coord::MIN_COMPONENT..=Coord::MAX_COMPONENT;
+    for c in input.coords() {
+        if !batch.contains(&c.batch) {
+            return Err(CompileError::CoordOutOfRange {
+                axis: "batch",
+                value: c.batch,
+                reach: 0,
+            });
+        }
+        let spatial_axes = [("x", c.x), ("y", c.y), ("z", c.z)];
+        if let Some(&(axis, value)) = spatial_axes.iter().find(|(_, v)| !spatial.contains(v)) {
+            return Err(CompileError::CoordOutOfRange { axis, value, reach });
+        }
+    }
+    let unique = ts_kernelmap::unique_coords(input.coords()).len();
+    if unique != input.num_points() {
+        return Err(CompileError::DuplicateCoords {
+            points: input.num_points(),
+            unique,
+        });
+    }
+    Ok(())
+}
 
 /// Prepare-cache hit/miss totals for a [`Session`], as returned by
 /// [`Session::prepare_cache_counters`].

@@ -21,7 +21,7 @@ use ts_tensor::Matrix;
 
 use crate::run::run_network_in_session;
 use crate::session::SubmanifoldReuse;
-use crate::{CompileError, Engine, Network, Op, RunReport, Session, SparseTensor};
+use crate::{check_frame, CompileError, Engine, Network, Op, RunReport, Session, SparseTensor};
 
 /// Per-stream temporal state: the incrementally maintained stride-1
 /// submanifold map plus reuse accounting.
@@ -235,23 +235,13 @@ impl Engine {
         cfg: &DeltaConfig,
     ) -> Result<(SparseTensor, RunReport, UpdateOutcome), CompileError> {
         let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.infer_stream");
-        if input.channels() != self.network().in_channels() {
-            return Err(CompileError::ChannelMismatch {
-                expected: self.network().in_channels(),
-                got: input.channels(),
-            });
-        }
-        let unique = ts_kernelmap::unique_coords(input.coords()).len();
-        if unique != input.num_points() {
-            return Err(CompileError::DuplicateCoords {
-                points: input.num_points(),
-                unique,
-            });
-        }
+        check_frame(self.network(), input)?;
 
         let Some(ks) = StreamState::eligible_kernel_size(self.network()) else {
             // No eligible group: plain per-frame compilation.
-            let (out, report) = self.try_infer(input)?;
+            let session = self.compile_checked(input)?;
+            let (out, report) =
+                run_network_in_session(&session, self.weights(), input, self.configs(), self.ctx());
             return Ok((
                 out,
                 report,
@@ -270,7 +260,7 @@ impl Engine {
                 // Seeding frame: a full compile prices the full build,
                 // and the state is built from the same canonical order
                 // (`unique_coords` of the frame).
-                let session = self.compile(input)?;
+                let session = self.compile_checked(input)?;
                 let (out, report) = run_network_in_session(
                     &session,
                     self.weights(),
@@ -285,22 +275,25 @@ impl Engine {
                 (out, report, outcome)
             }
             Some(st) => {
-                let mut update_span =
-                    ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
-                let outcome = st.update(input.coords(), cfg);
-                if update_span.active() {
-                    update_span.arg(
-                        "kind",
-                        match outcome.kind {
-                            MapUpdate::Patched => "patched",
-                            MapUpdate::Rebuilt => "rebuilt",
-                        },
-                    );
-                    update_span.arg("entered", outcome.entered);
-                    update_span.arg("exited", outcome.exited);
-                    update_span.arg("churn", outcome.churn as f64);
-                }
-                drop(update_span);
+                // The span covers only the map update.
+                let outcome = {
+                    let mut update_span =
+                        ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
+                    let outcome = st.update(input.coords(), cfg);
+                    if update_span.active() {
+                        update_span.arg(
+                            "kind",
+                            match outcome.kind {
+                                MapUpdate::Patched => "patched",
+                                MapUpdate::Rebuilt => "rebuilt",
+                            },
+                        );
+                        update_span.arg("entered", outcome.entered);
+                        update_span.arg("exited", outcome.exited);
+                        update_span.arg("churn", outcome.churn as f64);
+                    }
+                    outcome
+                };
 
                 let permuted = permute_to(input, st.coords());
                 let session = st.compile(self.network(), outcome.stats)?;

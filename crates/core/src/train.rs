@@ -325,4 +325,39 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn inf_in_dy_through_gather_scatter_dgrad_still_skips_the_amp_step() {
+        // The shared kernel has no zero-skip: an `inf` in dy must still
+        // reach the upstream layer's weight gradient through the
+        // gather-scatter dgrad and flag the AMP overflow.
+        let mut b = NetworkBuilder::new("inf", 4);
+        let c1 = b.conv("c1", NetworkBuilder::INPUT, 6, 3, 1);
+        let head = b.conv("head", c1, 3, 3, 1);
+        let net = b.build();
+        let w = net.init_weights(5);
+        let mut x = input(5, 4, 8);
+        // Exact zeros next to large values: dy mixes 0.0 and inf.
+        for (i, v) in x.feats_mut().as_mut_slice().iter_mut().enumerate() {
+            *v = if i % 3 == 0 { 0.0 } else { *v * 1e4 };
+        }
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16);
+        let cfgs = TrainConfigs::bound(DataflowConfig::gather_scatter(true));
+        let bw = forward_backward(&net, &w, &session, &x, &cfgs, &ctx, f32::MAX, true);
+        let dw_c1 = bw.grads[c1].as_ref().expect("c1 gradient");
+        assert!(
+            (0..dw_c1.kernel_volume()).any(|k| dw_c1
+                .offset(k)
+                .as_slice()
+                .iter()
+                .any(|v| !v.is_finite())),
+            "the inf in dy must survive the gather-scatter dgrad"
+        );
+        assert!(bw.grads[head].is_some());
+        assert!(bw.overflow, "an inf in dy must flag the overflow");
+        let mut scaler = LossScaler::new();
+        assert!(!scaler.update(bw.overflow), "the AMP step must be skipped");
+        assert_eq!(scaler.skipped, 1);
+    }
 }

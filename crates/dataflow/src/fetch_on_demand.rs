@@ -22,7 +22,11 @@ pub(crate) fn run(
     cfg: &DataflowConfig,
     ctx: &ExecCtx,
 ) -> ConvOutput {
-    let features = ctx.functional.then(|| compute(x, w, map));
+    // No DRAM buffers exist in this dataflow: the functional path is
+    // Equation 1 in pair order, straight through the shared kernel.
+    let features = ctx
+        .functional
+        .then(|| crate::kernel::weight_stationary(x, w, map));
     let trace = trace_only(w.c_in(), w.c_out(), map, fused, cfg, ctx);
     ConvOutput { features, trace }
 }
@@ -41,27 +45,6 @@ pub(crate) fn trace_only(
     } else {
         trace_per_offset(c_in as u64, c_out as u64, map, cfg, ctx)
     }
-}
-
-/// Functional path: direct accumulation (no DRAM buffers exist in this
-/// dataflow, so the math is exactly Equation 1 in pair order).
-fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    let mut out = Matrix::zeros(map.n_out(), w.c_out());
-    for k in 0..map.kernel_volume() {
-        let wk = w.offset(k);
-        for &(i, o) in map.pairs(k) {
-            let xi = x.row(i as usize);
-            let dst = out.row_mut(o as usize);
-            for (c, d) in dst.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (r, &xv) in xi.iter().enumerate() {
-                    acc += xv * wk[(r, c)];
-                }
-                *d += acc;
-            }
-        }
-    }
-    out
 }
 
 /// Per-offset fetch-on-demand (MinkowskiEngine): one fused kernel per
@@ -173,7 +156,10 @@ mod tests {
     fn functional_matches_reference() {
         let (x, w, map) = setup();
         let expected = reference_forward(&x, &w, &map);
-        assert!(compute(&x, &w, &map).approx_eq(&expected, 1e-4));
+        let ctx = ExecCtx::functional(Device::rtx2080ti(), Precision::Fp32);
+        let cfg = DataflowConfig::fetch_on_demand(true);
+        let got = run(&x, &w, &map, true, &cfg, &ctx).features.unwrap();
+        assert!(got.approx_eq(&expected, 1e-4));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use ts_gpusim::{KernelDesc, KernelTrace, Overlap};
 use ts_kernelmap::KernelMap;
-use ts_tensor::{gemm_accumulate, Matrix};
+use ts_tensor::Matrix;
 
 use crate::{ConvOutput, ConvWeights, DataflowConfig, ExecCtx};
 
@@ -29,7 +29,12 @@ pub(crate) fn run(
     ctx: &ExecCtx,
 ) -> ConvOutput {
     let _ = cfg;
-    let features = ctx.functional.then(|| compute(x, w, map));
+    // Functional path: gather, GEMM and scatter-add fuse into the shared
+    // kernel's register tile, so no per-offset gather or product buffer
+    // is materialised; the math is the same for the naive and fused forms.
+    let features = ctx
+        .functional
+        .then(|| crate::kernel::weight_stationary(x, w, map));
     let trace = trace_only(w.c_in(), w.c_out(), map, fused, ctx);
     ConvOutput { features, trace }
 }
@@ -48,34 +53,6 @@ pub(crate) fn trace_only(
     } else {
         trace_naive(c_in as u64, c_out as u64, map, ctx)
     }
-}
-
-/// Functional path: explicit gather buffer -> GEMM -> scatter-add, per
-/// offset (bit-identical to the math of the fused variant).
-fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    let mut out = Matrix::zeros(map.n_out(), w.c_out());
-    for k in 0..map.kernel_volume() {
-        let pairs = map.pairs(k);
-        if pairs.is_empty() {
-            continue;
-        }
-        // Gather.
-        let mut buf = Matrix::zeros(pairs.len(), w.c_in());
-        for (r, &(i, _)) in pairs.iter().enumerate() {
-            buf.row_mut(r).copy_from_slice(x.row(i as usize));
-        }
-        // GEMM.
-        let mut prod = Matrix::zeros(pairs.len(), w.c_out());
-        gemm_accumulate(&buf, w.offset(k), &mut prod);
-        // Scatter-add.
-        for (r, &(_, o)) in pairs.iter().enumerate() {
-            let dst = out.row_mut(o as usize);
-            for (d, &v) in dst.iter_mut().zip(prod.row(r)) {
-                *d += v;
-            }
-        }
-    }
-    out
 }
 
 fn trace_naive(c_in: u64, c_out: u64, map: &KernelMap, ctx: &ExecCtx) -> KernelTrace {
@@ -216,7 +193,9 @@ mod tests {
     fn functional_matches_reference() {
         let (x, w, map) = setup();
         let expected = reference_forward(&x, &w, &map);
-        let got = compute(&x, &w, &map);
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+        let cfg = DataflowConfig::gather_scatter(true);
+        let got = run(&x, &w, &map, true, &cfg, &ctx).features.unwrap();
         assert!(got.approx_eq(&expected, 1e-4));
     }
 

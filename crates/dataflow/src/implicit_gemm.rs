@@ -10,11 +10,11 @@
 
 use ts_gpusim::{KernelClass, KernelDesc, KernelTrace};
 use ts_kernelgen::GeneratedDataflow;
-use ts_kernelmap::{pad_to_multiple, KernelMap, SplitPlan};
+use ts_kernelmap::{pad_to_multiple, KernelMap, SplitPlan, SplitRange};
 use ts_tensor::Matrix;
 
 use crate::{
-    ConvOutput, ConvWeights, DataflowConfig, DataflowKind, ExecCtx, Prepared, ReorderMode,
+    kernel, ConvOutput, ConvWeights, DataflowConfig, DataflowKind, ExecCtx, Prepared, ReorderMode,
 };
 
 /// Compute-time multiplier the extra indirection of *online* reordering
@@ -83,30 +83,47 @@ pub(crate) fn trace_only(
 /// buffer (mirroring the separate DRAM buffers on GPU); a final reduction
 /// sums them. Row order follows the plan, which changes float summation
 /// order exactly like the real kernels do.
+///
+/// The first range's buffer becomes the output instead of being added
+/// to zeros: a partial starts at `+0.0` and every kernel update adds a
+/// sum that itself starts at `+0.0`, so no element is ever `-0.0` and
+/// `0.0 + p == p` bit for bit.
 fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap, plan: &SplitPlan) -> Matrix {
-    let mut out = Matrix::zeros(map.n_out(), w.c_out());
+    let mut out: Option<Matrix> = None;
     for range in plan.ranges() {
-        let mut partial = Matrix::zeros(map.n_out(), w.c_out());
-        for &row in range.order(map) {
-            let o = row as usize;
-            let dst = partial.row_mut(o);
-            for k in range.k_begin..range.k_end {
-                if let Some(i) = map.neighbor(o, k) {
-                    let xi = x.row(i as usize);
-                    let wk = w.offset(k);
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for (r, &xv) in xi.iter().enumerate() {
-                            acc += xv * wk[(r, c)];
-                        }
-                        *d += acc;
-                    }
+        let partial = compute_range(x, w, map, range);
+        match out.as_mut() {
+            None => out = Some(partial),
+            Some(o) => o.add_assign(&partial),
+        }
+    }
+    out.unwrap_or_else(|| Matrix::zeros(map.n_out(), w.c_out()))
+}
+
+/// One split range: blocks of [`kernel::BLOCK_ROWS`] consecutive
+/// plan-order rows walk the range's offsets in order, so every row
+/// keeps its own `k` order; at each offset the block's rows that have
+/// a neighbor go through the shared kernel together.
+fn compute_range(x: &Matrix, w: &ConvWeights, map: &KernelMap, range: &SplitRange) -> Matrix {
+    let mut partial = Matrix::zeros(map.n_out(), w.c_out());
+    let (neighbors, kvol) = (map.neighbors(), map.kernel_volume());
+    let mut block = [(0u32, 0u32); kernel::BLOCK_ROWS];
+    for rows in range.order(map).chunks(kernel::BLOCK_ROWS) {
+        for k in range.k_begin..range.k_end {
+            let mut n = 0;
+            for &o in rows {
+                let i = neighbors[o as usize * kvol + k];
+                if i >= 0 {
+                    block[n] = (i as u32, o);
+                    n += 1;
                 }
             }
+            if n > 0 {
+                kernel::accumulate_block(x, w.offset(k), &block[..n], &mut partial);
+            }
         }
-        out.add_assign(&partial);
     }
-    out
+    partial
 }
 
 fn trace(

@@ -34,22 +34,24 @@ const BIAS: i64 = 1 << 15;
 const RANGE: i64 = 1 << 16;
 
 impl Coord {
+    /// Smallest component value [`Coord::key`] can pack.
+    pub const MIN_COMPONENT: i32 = -(BIAS as i32);
+    /// Largest component value [`Coord::key`] can pack.
+    pub const MAX_COMPONENT: i32 = BIAS as i32 - 1;
+
     /// Creates a coordinate.
     ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any component is outside `[-32768, 32767]`.
+    /// Components outside `[Coord::MIN_COMPONENT, Coord::MAX_COMPONENT]`
+    /// are representable but their [`Coord::key`] aliases another
+    /// coordinate's; frames entering a network are range-checked (with
+    /// the network's kernel reach) by `ts_core::check_frame`, which
+    /// returns a typed error instead.
     pub fn new(batch: i32, x: i32, y: i32, z: i32) -> Self {
-        debug_assert!(
-            [batch, x, y, z]
-                .iter()
-                .all(|&v| (-(BIAS as i32)..BIAS as i32).contains(&v)),
-            "coordinate component out of 16-bit range: ({batch},{x},{y},{z})"
-        );
         Self { batch, x, y, z }
     }
 
-    /// Packs the coordinate into a unique 64-bit key.
+    /// Packs the coordinate into a 64-bit key, unique while every
+    /// component is within `[Coord::MIN_COMPONENT, Coord::MAX_COMPONENT]`.
     pub fn key(self) -> u64 {
         let b = (self.batch as i64 + BIAS) as u64;
         let x = (self.x as i64 + BIAS) as u64;

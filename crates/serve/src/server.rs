@@ -1476,7 +1476,7 @@ mod tests {
                 ),
         );
         let handles: Vec<_> = (0..4)
-            .map(|i| server.submit(i, frame(0, i as u64)).expect("admitted"))
+            .map(|i| server.submit(i, frame(0, i)).expect("admitted"))
             .collect();
         server.halt();
         for h in handles {

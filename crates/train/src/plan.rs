@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ts_core::{permute_to, CompileError, Network, Session, SparseTensor, StreamState};
+use ts_core::{check_frame, permute_to, CompileError, Network, Session, SparseTensor, StreamState};
 use ts_dataflow::ExecCtx;
 use ts_gpusim::{KernelDesc, KernelTrace};
 use ts_kernelmap::{DeltaConfig, MapStats, MapUpdate, UpdateOutcome};
@@ -102,9 +102,8 @@ pub(crate) fn optimizer_us(param_bytes: u64, ctx: &ExecCtx) -> f64 {
 ///
 /// # Errors
 ///
-/// [`CompileError::ChannelMismatch`] / [`CompileError::DuplicateCoords`]
-/// on malformed input (the state is left unchanged), or any session
-/// compilation error.
+/// Any [`check_frame`] error on malformed input (the state is left
+/// unchanged), or any session compilation error.
 pub(crate) fn compile_step(
     network: &Network,
     state: &mut Option<StreamState>,
@@ -112,19 +111,7 @@ pub(crate) fn compile_step(
     delta: &DeltaConfig,
     split_count: u32,
 ) -> Result<(Session, SparseTensor, UpdateOutcome), CompileError> {
-    if input.channels() != network.in_channels() {
-        return Err(CompileError::ChannelMismatch {
-            expected: network.in_channels(),
-            got: input.channels(),
-        });
-    }
-    let unique = ts_kernelmap::unique_coords(input.coords()).len();
-    if unique != input.num_points() {
-        return Err(CompileError::DuplicateCoords {
-            points: input.num_points(),
-            unique,
-        });
-    }
+    check_frame(network, input)?;
 
     let Some(ks) = StreamState::eligible_kernel_size(network) else {
         let session = Session::try_new(network, input.coords())?;

@@ -131,3 +131,82 @@ fn engine_rejects_empty_and_duplicate_inputs_with_typed_errors() {
         ts_verify::Violation::DuplicateCoord { count: 2, .. }
     ));
 }
+
+/// Coordinates past `Coord::key`'s 16-bit range alias other coordinates'
+/// keys (`x = 32768` in batch 0 packs like `x = -32768` in batch 1), and
+/// the range used to be a debug-build assertion only. Every public entry
+/// point must answer such a frame with a typed error in every build
+/// profile, never with a map built from aliased keys.
+#[test]
+fn out_of_range_coords_are_typed_errors_in_every_profile() {
+    use ts_core::{CompileError, DeltaConfig};
+    use ts_serve::Rejected;
+
+    let (net, weights) = narrow_network();
+    let engine = Engine::new(
+        net,
+        weights,
+        GroupConfigs::uniform(DataflowConfig::implicit_gemm(1)),
+        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
+    );
+    let feats = |n: usize| uniform_matrix(&mut rng_from_seed(5), n, 1, -1.0, 1.0);
+    let aliased = vec![Coord::new(0, 32768, 0, 0), Coord::new(1, -32768, 0, 0)];
+    assert_eq!(aliased[0].key(), aliased[1].key(), "the two keys alias");
+    let deep = vec![Coord::new(0, 1, 2, 3), Coord::new(0, 1, 2, 40000)];
+    for (coords, axis, value) in [(aliased, "x", 32768), (deep, "z", 40000)] {
+        let frame = SparseTensor::new(coords, feats(2));
+        match engine.try_infer(&frame) {
+            Err(CompileError::CoordOutOfRange {
+                axis: a, value: v, ..
+            }) => {
+                assert_eq!((a, v), (axis, value));
+            }
+            other => panic!("expected CoordOutOfRange, got {other:?}"),
+        }
+        let mut state = None;
+        assert!(matches!(
+            engine.infer_stream(&mut state, &frame, &DeltaConfig::default()),
+            Err(CompileError::CoordOutOfRange { .. })
+        ));
+        assert!(state.is_none(), "a rejected frame must not seed the stream");
+    }
+
+    // The server takes single-scene frames and batches them: the bad
+    // frames fail alone, their in-range batchmate is served.
+    let server = Server::new(
+        engine,
+        ServeConfig::default()
+            .with_workers(1)
+            .with_max_batch(4)
+            .with_max_wait(Duration::from_millis(100)),
+    );
+    let frames = [
+        vec![Coord::new(0, 32768, 0, 0), Coord::new(0, 0, 0, 0)],
+        vec![Coord::new(0, 1, 2, 40000)],
+        vec![Coord::new(0, 1, 2, 3), Coord::new(0, 2, 2, 3)],
+    ];
+    let handles: Vec<_> = frames
+        .into_iter()
+        .enumerate()
+        .map(|(i, coords)| {
+            let n = coords.len();
+            let frame = SparseTensor::new(coords, feats(n));
+            server.submit(i as u64, frame).expect("admitted")
+        })
+        .collect();
+    let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    for r in &results[..2] {
+        assert!(
+            matches!(
+                r,
+                Err(Rejected::CompileFailed(
+                    CompileError::CoordOutOfRange { .. }
+                ))
+            ),
+            "expected a typed CoordOutOfRange rejection, got {r:?}"
+        );
+    }
+    assert!(results[2].is_ok(), "the in-range batchmate is served");
+    let report = server.shutdown();
+    assert_eq!(report.rejected_bad_frame, 2);
+}
